@@ -134,6 +134,10 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
       it = pending.erase(it);
     }
   }
+  const auto reachable = out.participated.size() + pending.size();
+  OF_CHECK_MSG(static_cast<int>(reachable) >= opt.min_clients,
+               "partial gather: only " << reachable << " of a required " << opt.min_clients
+                                       << " clients are alive to report");
 
   const auto start = clock::now();
   const auto deadline = start + std::chrono::duration_cast<clock::duration>(
@@ -168,6 +172,10 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
   std::sort(out.participated.begin(), out.participated.end());
   std::sort(out.dropped.begin(), out.dropped.end());
   return out;
+}
+
+PartialGatherOptions wait_for_all(const Communicator& c) {
+  return PartialGatherOptions{c.world_size() - 1, 60.0, 60.0};
 }
 
 PartialGather gather_bytes_partial(Communicator& c, const Bytes& b,

@@ -27,12 +27,19 @@ void broadcast_bytes(Communicator& c, Bytes& b, int root);
 // `min_clients` made it; otherwise it keeps waiting (up to
 // `quorum_timeout_seconds` total) for a quorum. Stragglers past the cutoff
 // are recorded as dropped — the aggregation layer re-weights around them.
+// Peers the transport already knows are dead count against the quorum at
+// once: when too few clients remain to reach it, the hub fails immediately.
 
 struct PartialGatherOptions {
   int min_clients = 1;                  // quorum: proceed past deadline with >= this many
   double deadline_seconds = 5.0;        // soft per-round cutoff
   double quorum_timeout_seconds = 60.0; // hard cutoff waiting for the quorum itself
 };
+
+// The wait-for-all policy: every client must report. Its 60 s deadline and
+// quorum timeout match the backends' own receive timeout, so a silent client
+// fails the round the way a blocking gather would.
+PartialGatherOptions wait_for_all(const Communicator& c);
 
 struct PartialGather {
   // Indexed by rank; frames[0] is the hub's own contribution, a dropped

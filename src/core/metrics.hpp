@@ -22,10 +22,11 @@ struct RoundRecord {
   std::uint64_t bytes_down = 0;  // bytes sent by the root this round
   double mean_staleness = 0.0;   // async scheduling only
 
-  // Fault-tolerant rounds only (see src/fault/): which clients made the
-  // deadline, who was cut, and the transport's recovery activity.
+  // Centralized rounds, fault mode or not (see src/fault/): which clients
+  // made the round's gather, who was cut or sent a malformed frame, and the
+  // transport's recovery activity. Other modes leave these at their zeros.
   std::size_t participated = 0;    // clients aggregated this round (0 = not tracked)
-  std::vector<int> dropped_ranks;  // clients excluded by the round deadline
+  std::vector<int> dropped_ranks;  // clients excluded: deadline cut or malformed frame
   bool deadline_hit = false;       // at least one straggler was outwaited
   std::uint64_t reconnects = 0;    // cumulative link rejoins observed by the root
 

@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -12,7 +13,6 @@
 #include "comm/star.hpp"
 #include "common/check.hpp"
 #include "common/nonfinite.hpp"
-#include "exec/pool.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -33,21 +33,59 @@ obs::Histogram& async_staleness_hist() {
   return h;
 }
 
+obs::Counter& malformed_dropped() {
+  static obs::Counter& c = obs::Registry::global().counter("payload.malformed_dropped");
+  return c;
+}
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Aggregator side of the telemetry piggyback: strip the tail off an update
-// frame (fixed v1 layout or variable-size v2 TLV — parse_tail reports the
-// size) and feed it to the fleet registry. Frames without a telemetry tail
-// (the aggregator's own empty gather placeholder) pass through as-is.
-void strip_telemetry(tensor::Bytes& frame) {
-  std::size_t tail = 0;
-  const auto t = obs::TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail);
-  if (!t) return;
-  frame.resize(frame.size() - tail);
-  obs::Fleet::global().record(*t);
+// Hub side of the up-frame (payload.hpp): strip the telemetry tail, if any,
+// into the fleet registry, then the trailer, leaving the body in `frame`.
+// Nothing comes back for a frame the codec rejects.
+std::optional<UpTrailer> take_up_frame(tensor::Bytes& frame, bool telemetry) {
+  if (telemetry) {
+    std::size_t tail = 0;
+    if (const auto t =
+            obs::TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail)) {
+      frame.resize(frame.size() - tail);
+      obs::Fleet::global().record(*t);
+    }
+  }
+  return strip_up_trailer(frame);
 }
+
+// Star round hubs accept Update frames only; any other frame is malformed
+// and drops its sender for the round.
+std::optional<UpMetrics> take_update(tensor::Bytes& frame, bool telemetry) {
+  const auto up = take_up_frame(frame, telemetry);
+  if (up && up->kind == UpKind::Update) return up->metrics;
+  malformed_dropped().inc();
+  return std::nullopt;
+}
+
+// Hub-side metric totals, summed in source-rank order. The centralized and
+// serve hubs accumulate in double; the combiner tree sums in float, and a
+// leader forwards its group's float sum upward in its own trailer.
+template <typename T>
+struct MetricSums {
+  T loss = 0, steps = 0, acc = 0, acc_n = 0;
+
+  void add(const UpMetrics& m) {
+    loss += m.loss_sum;
+    steps += m.steps;
+    acc += m.acc_sum;
+    acc_n += m.acc_n;
+  }
+  double train_loss() const { return steps > 0 ? static_cast<double>(loss / steps) : 0.0; }
+  float accuracy() const { return acc_n > 0 ? static_cast<float>(acc / acc_n) : -1.0f; }
+  UpMetrics up() const {
+    return {static_cast<float>(loss), static_cast<float>(steps), static_cast<float>(acc),
+            static_cast<float>(acc_n)};
+  }
+};
 
 // Detach the thread-local phase sink on every exit path out of run().
 struct PhaseSinkGuard {
@@ -120,13 +158,10 @@ NodeReport NodeRuntime::run() {
                                              : run_serve_trainer(*inner.use);
   } else if (s_.mode == "ring") {
     report = run_ring_node(*inner.use);
-  } else if (s_.fault.enabled && s_.mode == "centralized") {
-    report = s_.role == NodeRole::Trainer ? run_fault_trainer(*inner.use)
-                                          : run_fault_aggregator(*inner.use);
   } else if (s_.role == NodeRole::Trainer) {
-    report = run_trainer(*inner.use);
+    report = run_star_trainer(*inner.use);
   } else if (s_.mode == "centralized") {
-    report = run_central_aggregator(*inner.use);
+    report = run_star_aggregator(*inner.use);
   } else if (s_.mode == "hierarchical") {
     OwnedComm outer = OwnedComm::make(s_.outer_spec);
     report = run_hier_leader(*inner.use, *outer.use);
@@ -139,20 +174,12 @@ NodeReport NodeRuntime::run() {
   return report;
 }
 
-bool NodeRuntime::selected_this_round(std::size_t round) const {
-  if (s_.clients_per_round == 0 ||
-      s_.clients_per_round >= static_cast<std::size_t>(s_.cohort_size))
-    return true;
-  // Same seed + round on every node → identical selection, no coordination.
-  tensor::Rng rng(s_.participation_seed ^ (0x9E3779B97F4A7C15ULL * (round + 1)));
-  std::vector<int> ids(static_cast<std::size_t>(s_.cohort_size));
-  std::iota(ids.begin(), ids.end(), 0);
-  for (std::size_t i = 0; i < s_.clients_per_round; ++i) {
-    const std::size_t j = i + rng.next_below(ids.size() - i);
-    std::swap(ids[i], ids[j]);
-    if (ids[i] == s_.cohort_index) return true;
-  }
-  return false;
+comm::star::PartialGatherOptions NodeRuntime::round_gather_options(
+    const comm::Communicator& inner) const {
+  if (s_.fault.enabled)
+    return {s_.fault.min_clients, s_.fault.round_deadline_seconds,
+            s_.fault.quorum_timeout_seconds};
+  return comm::star::wait_for_all(inner);
 }
 
 void NodeRuntime::simulate_slowdown(double train_seconds_elapsed) {
@@ -220,10 +247,18 @@ void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
   ctx_.round = round;
   if (round == 0) algo.on_train_start(ctx_);
   algo.apply_global(ctx_, global);
-  if (!selected_this_round(round)) {
-    stats_out = algorithms::TrainStats{};
-    frame_out = encode_skip_update();
-    return;
+  const auto cohort = static_cast<std::size_t>(s_.cohort_size);
+  if (s_.clients_per_round > 0 && s_.clients_per_round < cohort) {
+    // Same seed + round on every node → identical selection, no coordination.
+    std::vector<int> ids(cohort);
+    std::iota(ids.begin(), ids.end(), 0);
+    const auto picked = serve::ClientSampler(s_.participation_seed)
+                            .sample_count(round, ids, s_.clients_per_round);
+    if (!std::binary_search(picked.begin(), picked.end(), s_.cohort_index)) {
+      stats_out = algorithms::TrainStats{};
+      frame_out = encode_skip_update();
+      return;
+    }
   }
   algo.on_round_start(ctx_);
   const auto t0 = Clock::now();
@@ -267,136 +302,38 @@ void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
   span.set_arg(frame_out.size());
 }
 
-tensor::Tensor NodeRuntime::metrics_tensor(const algorithms::TrainStats& stats,
-                                           std::size_t round) {
-  // [loss_sum, steps, acc_sum, acc_count]
-  tensor::Tensor m({4});
-  m[0] = static_cast<float>(stats.loss_sum);
-  m[1] = static_cast<float>(stats.steps);
+UpMetrics NodeRuntime::round_metrics(const algorithms::TrainStats& stats,
+                                     std::size_t round) {
+  UpMetrics m;
+  m.loss_sum = static_cast<float>(stats.loss_sum);
+  m.steps = static_cast<float>(stats.steps);
   const bool eval_now = (s_.eval_every > 0 && (round + 1) % s_.eval_every == 0) ||
                         round + 1 == s_.global_rounds;
   if (eval_now && s_.test_set != nullptr) {
     nn::Model* em = s_.algorithm->eval_model(ctx_);
-    m[2] = algorithms::evaluate_accuracy(*em, *s_.test_set);
-    m[3] = 1.0f;
+    m.acc_sum = algorithms::evaluate_accuracy(*em, *s_.test_set);
+    m.acc_n = 1.0f;
   }
   return m;
 }
 
-NodeReport NodeRuntime::run_trainer(comm::Communicator& inner) {
+// --- star round loops ----------------------------------------------------------
+//
+// Centralized rounds (fault mode or not) and hierarchical group members run
+// one trainer loop: receive the global model, train, evaluate, and report
+// update + metrics in a single up-frame through the deadline gather. The
+// centralized hub runs one aggregator loop; only the gather policy differs
+// — the fault spec's deadline and quorum in fault mode, wait-for-all
+// otherwise (round_gather_options).
+
+NodeReport NodeRuntime::run_star_trainer(comm::Communicator& inner) {
+  // A disabled spec never fires, so this is a no-op outside fault mode.
+  fault::FaultInjector injector(s_.fault, inner.rank(), s_.participation_seed);
+  const auto opt = round_gather_options(inner);
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     // Parent this round under the aggregator span that sent the broadcast
     // we are about to receive — the cross-node edge of the merged trace.
-    round_span.link_remote_parent();
-    maybe_clock_sync(round);
-    tensor::Bytes gbytes;
-    {
-      ScopedSpan span(Name::Recv, s_.node_id, round);
-      inner.broadcast_bytes(gbytes, 0);
-      span.set_arg(gbytes.size());
-    }
-    std::vector<tensor::Tensor> global;
-    {
-      ScopedSpan span(Name::Decode, s_.node_id, round, gbytes.size());
-      global = unpack_tensors(gbytes);
-    }
-    algorithms::TrainStats stats;
-    train_one_round(global, round, stats, frame_buf_);
-    append_telemetry(frame_buf_, inner, round);
-    {
-      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
-      (void)inner.gather_bytes(frame_buf_, 0);
-    }
-    (void)inner.gather(metrics_tensor(stats, round), 0);
-  }
-  return NodeReport{};
-}
-
-NodeReport NodeRuntime::run_central_aggregator(comm::Communicator& inner) {
-  NodeReport report;
-  auto& algo = *s_.algorithm;
-  algorithms::ServerState state;
-  state.params = s_.algorithm_params;
-  state.global = algo.initial_global(s_.model);
-
-  for (std::size_t round = 0; round < s_.global_rounds; ++round) {
-    ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const auto t0 = Clock::now();
-    const auto bytes_sent_before = inner.stats().bytes_sent;
-    const auto bytes_recv_before = inner.stats().bytes_received;
-
-    tensor::Bytes gbytes = pack_tensors(state.global);
-    {
-      ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
-      inner.broadcast_bytes(gbytes, 0);
-    }
-    std::vector<tensor::Bytes> frames;
-    {
-      ScopedSpan span(Name::Recv, s_.node_id, round);
-      frames = inner.gather_bytes({}, 0);
-    }
-    frames.erase(frames.begin());  // drop our own empty placeholder
-    if (telem_on_)
-      for (auto& f : frames) strip_telemetry(f);
-    const auto agg_t0 = Clock::now();
-    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, frames.size());
-    const auto mean =
-        s_.aggregation_rule == AggregationRule::Mean
-            ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
-            : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
-                             s_.aggregation_trim, &pool_);
-    state.round = round;
-    state.global = algo.server_update(state, mean);
-    agg_span.end();
-    const double aggregate_s = seconds_since(agg_t0);
-
-    const auto metrics = inner.gather(tensor::Tensor({4}), 0);
-    RoundRecord rec;
-    rec.round = round;
-    rec.seconds = seconds_since(t0);
-    double loss_sum = 0.0, steps = 0.0, acc_sum = 0.0, acc_n = 0.0;
-    for (std::size_t p = 1; p < metrics.size(); ++p) {
-      loss_sum += metrics[p][0];
-      steps += metrics[p][1];
-      acc_sum += metrics[p][2];
-      acc_n += metrics[p][3];
-    }
-    rec.train_loss = steps > 0 ? loss_sum / steps : 0.0;
-    rec.accuracy = acc_n > 0 ? static_cast<float>(acc_sum / acc_n) : -1.0f;
-    rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
-    rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    if (telem_on_) {
-      obs::Fleet::RoundHealth h;
-      h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(frames.size());
-      h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      h.bytes_up = rec.bytes_up;
-      h.bytes_down = rec.bytes_down;
-      h.seconds = rec.seconds;
-      h.aggregate_seconds = aggregate_s;
-      obs::Fleet::global().record_round(h);
-    }
-    report.rounds.push_back(rec);
-  }
-  report.final_model = pack_tensors(state.global);
-  return report;
-}
-
-// --- fault-tolerant centralized rounds (src/fault/) ----------------------------
-//
-// One deadline governs each round, so the update and its metrics ride in a
-// single combined frame: u64 update_len | update_frame | metrics_tensor.
-// Otherwise a client could make the update cutoff but miss the metrics one,
-// skewing the two participation sets against each other.
-
-NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
-  fault::FaultInjector injector(s_.fault, inner.rank(), s_.participation_seed);
-  const comm::star::PartialGatherOptions opt{s_.fault.min_clients,
-                                             s_.fault.round_deadline_seconds,
-                                             s_.fault.quorum_timeout_seconds};
-  for (std::size_t round = 0; round < s_.global_rounds; ++round) {
-    ScopedSpan round_span(Name::Round, s_.node_id, round);
     round_span.link_remote_parent();
     maybe_clock_sync(round);
     tensor::Bytes gbytes;
@@ -419,7 +356,6 @@ NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
     }
     algorithms::TrainStats stats;
     train_one_round(global, round, stats, frame_buf_);
-    const tensor::Bytes& frame = frame_buf_;
     if (decision.extra_delay_seconds > 0.0) {
       // An injected straggler is indistinguishable from slow compute on the
       // wire; span the stall as train time so attribution names it `compute`
@@ -443,29 +379,23 @@ NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
             std::chrono::duration<double>(s_.fault.round_deadline_seconds + 0.05));
       }
     }
-    tensor::Bytes combined;
-    tensor::append_pod<std::uint64_t>(combined, frame.size());
-    combined.insert(combined.end(), frame.begin(), frame.end());
-    const tensor::Bytes mbytes = tensor::serialize_tensor(metrics_tensor(stats, round));
-    combined.insert(combined.end(), mbytes.begin(), mbytes.end());
-    append_telemetry(combined, inner, round);
+    append_up_trailer(frame_buf_, UpKind::Update, round_metrics(stats, round));
+    append_telemetry(frame_buf_, inner, round);
     {
-      ScopedSpan span(Name::Send, s_.node_id, round, combined.size());
-      (void)comm::star::gather_bytes_partial(inner, combined, opt);
+      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
+      (void)comm::star::gather_bytes_partial(inner, frame_buf_, opt);
     }
   }
   return NodeReport{};
 }
 
-NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
+NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
   NodeReport report;
   auto& algo = *s_.algorithm;
   algorithms::ServerState state;
   state.params = s_.algorithm_params;
   state.global = algo.initial_global(s_.model);
-  const comm::star::PartialGatherOptions opt{s_.fault.min_clients,
-                                             s_.fault.round_deadline_seconds,
-                                             s_.fault.quorum_timeout_seconds};
+  const auto opt = round_gather_options(inner);
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -479,7 +409,7 @@ NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
       inner.broadcast_bytes(gbytes, 0);
     }
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
-    const auto partial = comm::star::gather_bytes_partial(inner, {}, opt);
+    auto partial = comm::star::gather_bytes_partial(inner, {}, opt);
     recv_span.end();
     if (partial.deadline_hit) {
       obs::Registry::global().counter("fault.deadline_cuts").inc();
@@ -491,59 +421,29 @@ NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
     const auto agg_t0 = Clock::now();
     ScopedSpan agg_span(Name::Aggregate, s_.node_id, round,
                         partial.participated.size());
-    // Per-participant frame parsing is independent — split each combined
-    // frame into (update, metrics) by index across the pool, then fold the
-    // metric sums serially in participant order so the totals accumulate in
-    // the same order for any thread count.
-    const std::size_t np = partial.participated.size();
-    std::vector<tensor::Bytes> frames(np);
-    std::vector<tensor::Tensor> pmetrics(np);
-    std::vector<obs::TelemetrySummary> telem(np);
-    std::vector<char> telem_ok(np, 0);
-    exec::Pool::global().parallel_for(np, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t idx = lo; idx < hi; ++idx) {
-        const int p = partial.participated[idx];
-        const tensor::Bytes& combined = partial.frames[static_cast<std::size_t>(p)];
-        std::size_t off = 0;
-        const auto ulen = tensor::read_pod<std::uint64_t>(combined, off);
-        std::size_t end = combined.size();
-        if (telem_on_) {
-          std::size_t tail = 0;
-          if (const auto t =
-                  obs::TelemetrySummary::parse_tail(combined.data(), end, &tail)) {
-            telem[idx] = *t;
-            telem_ok[idx] = 1;
-            end -= tail;
-          }
-        }
-        OF_CHECK_MSG(off + ulen <= end,
-                     "fault-mode frame from rank " << p << " truncated");
-        frames[idx].assign(combined.begin() + static_cast<std::ptrdiff_t>(off),
-                           combined.begin() + static_cast<std::ptrdiff_t>(off + ulen));
-        const tensor::Bytes mbytes(
-            combined.begin() + static_cast<std::ptrdiff_t>(off + ulen),
-            combined.begin() + static_cast<std::ptrdiff_t>(end));
-        pmetrics[idx] = tensor::deserialize_tensor(mbytes);
-      }
-    });
-    for (std::size_t idx = 0; idx < np; ++idx)
-      if (telem_ok[idx]) obs::Fleet::global().record(telem[idx]);
-    double loss_sum = 0.0, steps = 0.0, acc_sum = 0.0, acc_n = 0.0;
+    // Strip each up-frame in place, in rank order, so the metric totals
+    // accumulate in the same order for any arrival order and thread count.
+    // A malformed frame drops its sender for the round.
+    std::vector<tensor::Bytes> frames;
+    MetricSums<double> sums;
     double weight_sum = 0.0;
     int contributing = 0;
-    for (std::size_t idx = 0; idx < np; ++idx) {
-      const tensor::Tensor& m = pmetrics[idx];
-      loss_sum += m[0];
-      steps += m[1];
-      acc_sum += m[2];
-      acc_n += m[3];
-      if (!is_skip_update(frames[idx])) {
+    for (const int p : partial.participated) {
+      tensor::Bytes& f = partial.frames[static_cast<std::size_t>(p)];
+      const auto m = take_update(f, telem_on_);
+      if (!m) {
+        partial.dropped.push_back(p);
+        continue;
+      }
+      sums.add(*m);
+      if (!is_skip_update(f)) {
         ++contributing;
-        const int p = partial.participated[idx];
         const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
         if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
       }
+      frames.push_back(std::move(f));
     }
+    std::sort(partial.dropped.begin(), partial.dropped.end());
 
     if (contributing > 0) {
       auto mean = s_.aggregation_rule == AggregationRule::Mean
@@ -553,10 +453,11 @@ NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
       // Each update was pre-scaled by n_i·N/total; the uniform mean over the
       // k survivors therefore needs k / (N·Σ w_i) to become the exact
       // weighted mean over the surviving cohort (= 1 at full participation).
+      // N is the client count: the hub's own cohort fields describe no cohort.
       if (s_.aggregation_rule == AggregationRule::Mean && !s_.client_weights.empty() &&
           weight_sum > 1e-12) {
         const double corr = static_cast<double>(contributing) /
-                            (static_cast<double>(s_.cohort_size) * weight_sum);
+                            (static_cast<double>(inner.world_size() - 1) * weight_sum);
         if (std::abs(corr - 1.0) > 1e-9)
           for (auto& t : mean) t.scale_(static_cast<float>(corr));
       }
@@ -569,18 +470,18 @@ NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
     RoundRecord rec;
     rec.round = round;
     rec.seconds = seconds_since(t0);
-    rec.train_loss = steps > 0 ? loss_sum / steps : 0.0;
-    rec.accuracy = acc_n > 0 ? static_cast<float>(acc_sum / acc_n) : -1.0f;
+    rec.train_loss = sums.train_loss();
+    rec.accuracy = sums.accuracy();
     rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
     rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    rec.participated = partial.participated.size();
+    rec.participated = frames.size();
     rec.dropped_ranks = partial.dropped;
     rec.deadline_hit = partial.deadline_hit;
     rec.reconnects = inner.stats().reconnects;
     if (telem_on_) {
       obs::Fleet::RoundHealth h;
       h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(partial.participated.size());
+      h.participated = static_cast<std::uint32_t>(frames.size());
       h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
       h.dropped = partial.dropped;
       h.deadline_hit = partial.deadline_hit;
@@ -656,7 +557,8 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
     state.global = algo.server_update(state, mean);
 
     // Metrics: summed across the ring; rank 0 records.
-    tensor::Tensor m = metrics_tensor(stats, round);
+    const UpMetrics um = round_metrics(stats, round);
+    tensor::Tensor m = tensor::Tensor::from_vector({um.loss_sum, um.steps, um.acc_sum, um.acc_n});
     inner.allreduce(m, comm::ReduceOp::Sum);
     if (inner.rank() == 0) {
       RoundRecord rec;
@@ -688,11 +590,11 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
 //     kind 0 Invite: packed global tensors
 //     kind 1 Retry:  u8 reason (1 = stale, 2 = full) | f32 retry_after_s
 //     kind 2 Stop:   (empty)
-//   kServeUpdate client → server: u8 kind | body
-//     kind 0 Update: f32 loss_sum | f32 steps | payload frame [| telemetry]
-//     kind 1 Join:   (empty)  re-registration after a churn departure
-//     kind 2 Leave:  (empty)  voluntary churn departure
-//     kind 3 Final:  f32 acc_sum | f32 acc_n
+//   kServeUpdate client → server: the star up-frame (payload.hpp)
+//     Update: payload frame body, loss_sum/steps in the trailer
+//     Join:   empty body — re-registration after a churn departure
+//     Leave:  empty body — voluntary churn departure
+//     Final:  empty body, acc_sum/acc_n in the trailer
 namespace {
 constexpr int kServeModel = 105;
 constexpr int kServeUpdate = 106;
@@ -700,10 +602,6 @@ constexpr int kServeUpdate = 106;
 constexpr std::uint8_t kDownInvite = 0;
 constexpr std::uint8_t kDownRetry = 1;
 constexpr std::uint8_t kDownStop = 2;
-constexpr std::uint8_t kUpUpdate = 0;
-constexpr std::uint8_t kUpJoin = 1;
-constexpr std::uint8_t kUpLeave = 2;
-constexpr std::uint8_t kUpFinal = 3;
 constexpr std::uint8_t kRetryStale = 1;
 constexpr std::uint8_t kRetryFull = 2;
 
@@ -800,7 +698,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
 
   const auto run_t0 = Clock::now();
   auto group_t0 = Clock::now();
-  double loss_sum = 0.0, steps_sum = 0.0;
+  MetricSums<double> sums;
 
   auto record_serve_health = [&] {
     if (!telem_on_) return;
@@ -833,39 +731,34 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
     auto [src, frame] = inner.recv_bytes_any(kServeUpdate);
     recv_span.set_arg(frame.size());
     recv_span.end();
-    if (telem_on_) strip_telemetry(frame);
-    std::size_t off = 0;
-    const auto kind = tensor::read_pod<std::uint8_t>(frame, off);
+    const auto up = take_up_frame(frame, telem_on_);
     const std::uint64_t v = version.load(std::memory_order_relaxed);
-    if (kind == kUpLeave) {
-      registry.leave(src, v);
-      in_flight.erase(src);
+    if (!up || up->kind != UpKind::Update) {
+      // Join/Leave re-shape the population. A malformed frame, or a Final
+      // before any Stop, is dropped and counted; like a Leave it frees the
+      // sender's invite slot so the window re-fills around it.
+      if (up && up->kind == UpKind::Join) {
+        registry.join(src, v);
+      } else {
+        if (up && up->kind == UpKind::Leave)
+          registry.leave(src, v);
+        else
+          malformed_dropped().inc();
+        in_flight.erase(src);
+      }
       top_up();
       record_serve_health();
       continue;
     }
-    if (kind == kUpJoin) {
-      registry.join(src, v);
-      top_up();
-      record_serve_health();
-      continue;
-    }
-    OF_CHECK_MSG(kind == kUpUpdate, "serve: unexpected up-frame kind "
-                                        << static_cast<int>(kind) << " from rank "
-                                        << src);
     registry.seen(src, v);
     in_flight.erase(src);
-    const auto f_loss = tensor::read_pod<float>(frame, off);
-    const auto f_steps = tensor::read_pod<float>(frame, off);
     const auto staleness =
         static_cast<std::size_t>(v - invited_version[static_cast<std::size_t>(src)]);
     obs::instant(Name::AsyncStaleness, s_.node_id, trace_round, staleness);
     async_staleness_hist().observe(staleness);
-    const tensor::ConstByteSpan payload(frame.data() + off, frame.size() - off);
-    const auto admission = buffer.offer(payload, staleness);
+    const auto admission = buffer.offer(frame, staleness);
     if (admission == serve::StalenessBuffer::Admission::Accepted) {
-      loss_sum += f_loss;
-      steps_sum += f_steps;
+      sums.add(up->metrics);
     } else {
       // Backpressure (admission control): answer with a retry-after control
       // frame instead of silently folding or dropping the client's work.
@@ -902,7 +795,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
       RoundRecord rec;
       rec.round = report.rounds.size();
       rec.seconds = seconds_since(group_t0);
-      rec.train_loss = steps_sum > 0 ? loss_sum / steps_sum : 0.0;
+      rec.train_loss = sums.train_loss();
       rec.accuracy = -1.0f;
       // Running mean over every accepted update so far, so each virtual
       // round reports staleness; the last record carries the run mean.
@@ -918,7 +811,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
       }
       report.rounds.push_back(rec);
       trace_round = report.rounds.size();
-      loss_sum = steps_sum = 0.0;
+      sums = MetricSums<double>{};
       group_t0 = Clock::now();
     }
     record_serve_health();
@@ -934,20 +827,17 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
 
   // Collect each client's final test accuracy, discarding stray frames
   // (late updates, churn re-registrations) that raced the Stop.
-  double acc_sum = 0.0, acc_n = 0.0;
+  MetricSums<double> finals;
   for (int got = 0; got < clients;) {
     auto [src, frame] = inner.recv_bytes_any(kServeUpdate);
     (void)src;
-    if (telem_on_) strip_telemetry(frame);
-    std::size_t off = 0;
-    const auto kind = tensor::read_pod<std::uint8_t>(frame, off);
-    if (kind != kUpFinal) continue;
-    acc_sum += tensor::read_pod<float>(frame, off);
-    acc_n += tensor::read_pod<float>(frame, off);
+    const auto up = take_up_frame(frame, telem_on_);
+    if (!up || up->kind != UpKind::Final) continue;
+    finals.add(up->metrics);
     ++got;
   }
-  if (!report.rounds.empty() && acc_n > 0)
-    report.rounds.back().accuracy = static_cast<float>(acc_sum / acc_n);
+  if (!report.rounds.empty() && finals.acc_n > 0)
+    report.rounds.back().accuracy = finals.accuracy();
   record_serve_health();
   report.final_model = pack_tensors(state.global);
   return report;
@@ -986,12 +876,12 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       // registration. The invite's model snapshot is discarded — the
       // coordinator resamples a replacement for this window.
       tensor::Bytes msg;
-      tensor::append_pod<std::uint8_t>(msg, kUpLeave);
+      append_up_trailer(msg, UpKind::Leave, {});
       inner.send_bytes(0, kServeUpdate, msg);
       std::this_thread::sleep_for(
           std::chrono::duration<double>(churn.down_seconds()));
       msg.clear();
-      tensor::append_pod<std::uint8_t>(msg, kUpJoin);
+      append_up_trailer(msg, UpKind::Join, {});
       inner.send_bytes(0, kServeUpdate, msg);
       continue;
     }
@@ -1046,32 +936,25 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       }
       span.set_arg(frame_buf_.size());
     }
-    // Up-frame: kind | loss_sum | steps | payload [| telemetry tail]. The
-    // training metrics ride the header, outside the payload frame, so the
-    // buffer can fold the payload without popping a metrics tensor back out.
-    tensor::Bytes up;
-    tensor::append_pod<std::uint8_t>(up, kUpUpdate);
-    tensor::append_pod<float>(up, static_cast<float>(last_stats.loss_sum));
-    tensor::append_pod<float>(up, static_cast<float>(last_stats.steps));
-    up.insert(up.end(), frame_buf_.begin(), frame_buf_.end());
-    append_telemetry(up, inner, round);
+    append_up_trailer(frame_buf_, UpKind::Update,
+                      {static_cast<float>(last_stats.loss_sum),
+                       static_cast<float>(last_stats.steps)});
+    append_telemetry(frame_buf_, inner, round);
     {
-      ScopedSpan span(Name::Send, s_.node_id, round, up.size());
-      inner.send_bytes(0, kServeUpdate, up);
+      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
+      inner.send_bytes(0, kServeUpdate, frame_buf_);
     }
     ++round;
   }
   // Final evaluation.
-  tensor::Bytes fin;
-  tensor::append_pod<std::uint8_t>(fin, kUpFinal);
-  float acc = 0.0f, n = 0.0f;
+  UpMetrics fin;
   if (s_.test_set) {
-    acc = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set);
-    n = 1.0f;
+    fin.acc_sum = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set);
+    fin.acc_n = 1.0f;
   }
-  tensor::append_pod<float>(fin, acc);
-  tensor::append_pod<float>(fin, n);
-  inner.send_bytes(0, kServeUpdate, fin);
+  tensor::Bytes msg;
+  append_up_trailer(msg, UpKind::Final, fin);
+  inner.send_bytes(0, kServeUpdate, msg);
   return NodeReport{};
 }
 
@@ -1088,29 +971,34 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
   // partial-sum frame and forward only `partial_scale × sum` plus its count
   // upward, so aggregation state is O(model × combiners) instead of
   // O(clients × model). Privacy frames only mean anything in aggregate with
-  // every masked body present, so those setups keep collect-then-mean.
+  // every masked body present, so those setups keep collect-then-mean and
+  // always wait for the whole group.
   const bool streaming = s_.privacy == nullptr;
   StreamingSum group_sum(pool_, s_.compressor.get());
   StreamingSum root_sum(pool_, s_.outer_compressor.get());
-  comm::star::PartialGatherOptions group_opt;
-  if (s_.hier_deadline_seconds > 0) {
+  comm::star::PartialGatherOptions group_opt = comm::star::wait_for_all(inner);
+  if (streaming && s_.hier_deadline_seconds > 0) {
     group_opt.min_clients = std::min(s_.hier_min_clients, inner.world_size() - 1);
     group_opt.deadline_seconds = s_.hier_deadline_seconds;
-    group_opt.quorum_timeout_seconds = 60.0;
-  } else {
-    // No combiner policy configured: wait for the whole group.
-    group_opt.min_clients = inner.world_size() - 1;
-    group_opt.deadline_seconds = 60.0;
-    group_opt.quorum_timeout_seconds = 60.0;
   }
-  comm::star::PartialGatherOptions outer_opt;  // combiners are never cut
-  outer_opt.min_clients = outer.world_size() - 1;
-  outer_opt.deadline_seconds = 60.0;
-  outer_opt.quorum_timeout_seconds = 60.0;
+  const auto outer_opt = comm::star::wait_for_all(outer);  // combiners are never cut
+  // Per-source-rank metrics of this round's up-frames; a rank that was cut
+  // or sent a malformed frame keeps zeros, which leave the float sums as-is.
+  std::vector<UpMetrics> group_up(static_cast<std::size_t>(inner.world_size()));
+  std::vector<UpMetrics> outer_up(static_cast<std::size_t>(outer.world_size()));
+  std::vector<tensor::Bytes> frames;        // privacy path: group frames by rank
+  std::vector<tensor::Bytes> outer_frames;  // privacy path: leader frames by rank
+  const auto sum_metrics = [](const std::vector<UpMetrics>& per_rank) {
+    MetricSums<float> s;
+    for (const auto& m : per_rank) s.add(m);
+    return s;
+  };
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     const auto t0 = Clock::now();
+    const auto sent_before = inner.stats().bytes_sent + outer.stats().bytes_sent;
+    const auto recv_before = inner.stats().bytes_received + outer.stats().bytes_received;
     // Global payload: root → leaders → group members.
     tensor::Bytes gbytes;
     if (is_root) gbytes = pack_tensors(state.global);
@@ -1125,102 +1013,106 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     if (s_.outer_compressor)
       s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer.rank()));
 
-    if (streaming) {
-      // Fold each group update into the partial sum the moment it arrives
-      // (trainers send through plain gather_bytes — same tag protocol).
-      group_sum.reset();
-      comm::star::StreamingGather sg;
-      {
-        ScopedSpan span(Name::Recv, s_.node_id, round);
-        sg = comm::star::gather_bytes_streaming(
-            inner, {},
-            [&](int /*src*/, tensor::Bytes&& frame) { group_sum.add(frame); },
-            group_opt);
-      }
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
-                                      frame_buf_, s_.wire_repr);
-        span.set_arg(frame_buf_.size());
-      }
-      if (s_.obs_telemetry) {
-        obs::Fleet::CombinerHealth ch;
-        ch.group = s_.group;
-        ch.round = static_cast<std::uint32_t>(round);
-        ch.participated = static_cast<std::uint32_t>(sg.participated.size());
-        ch.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-        ch.dropped = static_cast<std::uint32_t>(sg.dropped.size());
-        ch.deadline_hit = sg.deadline_hit;
-        ch.agg_peak_bytes = group_sum.peak_bytes();
-        ch.seconds = seconds_since(t0);
-        obs::Fleet::global().record_combiner(ch);
-      }
-
-      // Cross-facility tier: partials stream into the root's sum the same
-      // way; the root folds in its own group's partial directly.
-      ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-      if (is_root) root_sum.reset();
-      if (is_root) root_sum.add_partial(frame_buf_);
-      const auto og = comm::star::gather_bytes_streaming(
-          outer, frame_buf_,
-          [&](int /*src*/, tensor::Bytes&& frame) { root_sum.add_partial(frame); },
-          outer_opt);
-      (void)og;
-      outer_span.end();
-      if (is_root) {
-        ScopedSpan span(Name::Aggregate, s_.node_id, round, root_sum.count());
-        const auto mean = root_sum.finish_mean();
-        state.round = round;
-        state.global = algo.server_update(state, mean);
-      }
-    } else {
-      // Collect the group's updates and pre-aggregate them.
-      std::vector<tensor::Bytes> frames;
-      {
-        ScopedSpan span(Name::Recv, s_.node_id, round);
-        frames = inner.gather_bytes({}, 0);
-      }
-      frames.erase(frames.begin());
-      ScopedSpan group_agg_span(Name::Aggregate, s_.node_id, round, frames.size());
-      const auto group_mean =
-          mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_);
-      group_agg_span.end();
-
-      // Cross-facility tier: (optionally compressed) leader contribution.
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        encode_update_into(group_mean, s_.weight_scale, outer_plugins, outer.rank(),
-                           outer.world_size(), pool_, frame_buf_, s_.wire_repr);
-        span.set_arg(frame_buf_.size());
-      }
-      ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-      auto outer_frames = outer.gather_bytes(frame_buf_, 0);
-      outer_span.end();
-      if (is_root) {
-        ScopedSpan span(Name::Aggregate, s_.node_id, round, outer_frames.size());
-        const auto mean =
-            mean_updates(outer_frames, s_.outer_compressor.get(), nullptr, &pool_);
-        state.round = round;
-        state.global = algo.server_update(state, mean);
-      }
+    // Group tier: fold each trainer's up-frame the moment it arrives.
+    std::fill(group_up.begin(), group_up.end(), UpMetrics{});
+    group_sum.reset();
+    frames.assign(static_cast<std::size_t>(inner.world_size() - 1), {});
+    comm::star::StreamingGather sg;
+    {
+      ScopedSpan span(Name::Recv, s_.node_id, round);
+      sg = comm::star::gather_bytes_streaming(
+          inner, {},
+          [&](int src, tensor::Bytes&& frame) {
+            const auto m = take_update(frame, telem_on_);
+            if (!m) return;
+            group_up[static_cast<std::size_t>(src)] = *m;
+            if (streaming)
+              group_sum.add(frame);
+            else
+              frames[static_cast<std::size_t>(src - 1)] = std::move(frame);
+          },
+          group_opt);
+    }
+    if (s_.obs_telemetry) {
+      obs::Fleet::CombinerHealth ch;
+      ch.group = s_.group;
+      ch.round = static_cast<std::uint32_t>(round);
+      ch.participated = static_cast<std::uint32_t>(sg.participated.size());
+      ch.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
+      ch.dropped = static_cast<std::uint32_t>(sg.dropped.size());
+      ch.deadline_hit = sg.deadline_hit;
+      ch.agg_peak_bytes = group_sum.peak_bytes();
+      ch.seconds = seconds_since(t0);
+      obs::Fleet::global().record_combiner(ch);
     }
 
-    // Metrics: group sum → outer gather → root records.
-    tensor::Tensor m({4});
-    const auto group_metrics = inner.gather(m, 0);
-    tensor::Tensor group_sum({4});
-    for (std::size_t p = 1; p < group_metrics.size(); ++p) group_sum.add_(group_metrics[p]);
-    const auto all_metrics = outer.gather(group_sum, 0);
+    // Leader → root up-frame: the group's partial sum (privacy path: its
+    // pre-aggregated mean), with the group's metric sum as the trailer.
+    if (!streaming) {
+      ScopedSpan span(Name::Aggregate, s_.node_id, round, frames.size());
+      const auto group_mean =
+          mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_);
+      span.end();
+      ScopedSpan enc_span(Name::Encode, s_.node_id, round);
+      encode_update_into(group_mean, s_.weight_scale, outer_plugins, outer.rank(),
+                         outer.world_size(), pool_, frame_buf_, s_.wire_repr);
+      enc_span.set_arg(frame_buf_.size());
+    } else {
+      ScopedSpan span(Name::Encode, s_.node_id, round);
+      group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
+                                    frame_buf_, s_.wire_repr);
+      span.set_arg(frame_buf_.size());
+    }
+    const MetricSums<float> group_total = sum_metrics(group_up);
+    std::fill(outer_up.begin(), outer_up.end(), UpMetrics{});
+    outer_frames.assign(static_cast<std::size_t>(outer.world_size()), {});
     if (is_root) {
-      tensor::Tensor total({4});
-      for (const auto& gm : all_metrics) total.add_(gm);
+      // The root folds in its own group directly.
+      outer_up[0] = group_total.up();
+      if (streaming) {
+        root_sum.reset();
+        root_sum.add_partial(frame_buf_);
+      } else {
+        outer_frames[0] = frame_buf_;
+      }
+    } else {
+      append_up_trailer(frame_buf_, UpKind::Update, group_total.up());
+    }
+
+    // Cross-facility tier: leader up-frames stream into the root the same way.
+    ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
+    (void)comm::star::gather_bytes_streaming(
+        outer, frame_buf_,
+        [&](int src, tensor::Bytes&& frame) {
+          const auto m = take_update(frame, false);
+          if (!m) return;
+          outer_up[static_cast<std::size_t>(src)] = *m;
+          if (streaming)
+            root_sum.add_partial(frame);
+          else
+            outer_frames[static_cast<std::size_t>(src)] = std::move(frame);
+        },
+        outer_opt);
+    outer_span.end();
+    if (is_root) {
+      {
+        ScopedSpan span(Name::Aggregate, s_.node_id, round,
+                        streaming ? root_sum.count() : outer_frames.size());
+        const auto mean =
+            streaming ? root_sum.finish_mean()
+                      : mean_updates(outer_frames, s_.outer_compressor.get(), nullptr,
+                                     &pool_);
+        state.round = round;
+        state.global = algo.server_update(state, mean);
+      }
+      const MetricSums<float> total = sum_metrics(outer_up);
       RoundRecord rec;
       rec.round = round;
       rec.seconds = seconds_since(t0);
-      rec.train_loss = total[1] > 0 ? total[0] / total[1] : 0.0;
-      rec.accuracy = total[3] > 0 ? total[2] / total[3] : -1.0f;
-      rec.bytes_up = outer.stats().bytes_received;
-      rec.bytes_down = outer.stats().bytes_sent;
+      rec.train_loss = total.train_loss();
+      rec.accuracy = total.accuracy();
+      rec.bytes_up = inner.stats().bytes_received + outer.stats().bytes_received - recv_before;
+      rec.bytes_down = inner.stats().bytes_sent + outer.stats().bytes_sent - sent_before;
       report.rounds.push_back(rec);
     }
   }

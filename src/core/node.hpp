@@ -16,6 +16,7 @@
 #include "comm/amqp.hpp"
 #include "comm/inproc.hpp"
 #include "comm/modeled.hpp"
+#include "comm/star.hpp"
 #include "comm/tcp.hpp"
 #include "core/metrics.hpp"
 #include "core/payload.hpp"
@@ -153,13 +154,18 @@ class NodeRuntime {
   NodeReport run();
 
  private:
-  NodeReport run_trainer(comm::Communicator& inner);
-  NodeReport run_central_aggregator(comm::Communicator& inner);
-  // Fault-tolerant centralized round loops: clients evaluate the configured
-  // fault injections each round; the server aggregates a deadline-gated
-  // partial cohort and re-weights around the dropped clients.
-  NodeReport run_fault_trainer(comm::Communicator& inner);
-  NodeReport run_fault_aggregator(comm::Communicator& inner);
+  // The round loops, one per role:
+  //  - star trainer: every centralized and hierarchical group member, fault
+  //    mode or not. It reports update + metrics in one up-frame (payload.hpp)
+  //    through the deadline gather and replays any fault injections.
+  //  - star aggregator: the centralized hub. It aggregates whoever made the
+  //    round's gather (round_gather_options) and re-weights around the
+  //    clients that were cut or sent a malformed frame.
+  //  - hierarchical leader: a combiner that streams its group's up-frames
+  //    into a partial sum and reports upward in the same up-frame.
+  //  - ring node, and the serving tier's aggregator and trainer.
+  NodeReport run_star_trainer(comm::Communicator& inner);
+  NodeReport run_star_aggregator(comm::Communicator& inner);
   NodeReport run_ring_node(comm::Communicator& inner);
   NodeReport run_hier_leader(comm::Communicator& inner, comm::Communicator& outer);
   // Serving tier (src/serve/, DESIGN.md §14): the coordinator samples a
@@ -172,11 +178,16 @@ class NodeRuntime {
 
   // Shared trainer-side round body; encodes the update into `frame_out`
   // (a reused buffer, so steady-state rounds do not allocate).
+  // A trainer sitting the round out (clients_per_round, drawn by
+  // serve::ClientSampler identically on every node) sends a skip frame.
   void train_one_round(const std::vector<tensor::Tensor>& global, std::size_t round,
                        algorithms::TrainStats& stats_out, tensor::Bytes& frame_out);
-  tensor::Tensor metrics_tensor(const algorithms::TrainStats& stats, std::size_t round);
-  // Deterministic partial-participation schedule (same on every node).
-  bool selected_this_round(std::size_t round) const;
+  // This round's metrics, evaluating the model on eval rounds.
+  UpMetrics round_metrics(const algorithms::TrainStats& stats, std::size_t round);
+  // The centralized gather policy: the fault spec's deadline and quorum in
+  // fault mode, otherwise wait for every client.
+  comm::star::PartialGatherOptions round_gather_options(
+      const comm::Communicator& inner) const;
   // Inject the configured compute slowdown for `train_seconds` of real work.
   void simulate_slowdown(double train_seconds_elapsed);
   // Telemetry plane (telem_on_ only): ping the coordinator clock if this

@@ -365,6 +365,30 @@ bool is_skip_update(ConstByteSpan frame) {
 
 std::vector<Tensor> unpack_tensors(const Bytes& b) { return tensor::deserialize_tensors(b); }
 
+void append_up_trailer(Bytes& frame, UpKind kind, const UpMetrics& m) {
+  tensor::append_pod<float>(frame, m.loss_sum);
+  tensor::append_pod<float>(frame, m.steps);
+  tensor::append_pod<float>(frame, m.acc_sum);
+  tensor::append_pod<float>(frame, m.acc_n);
+  tensor::append_pod<std::uint8_t>(frame, static_cast<std::uint8_t>(kind));
+}
+
+std::optional<UpTrailer> strip_up_trailer(Bytes& frame) {
+  if (frame.size() < kUpTrailerBytes) return std::nullopt;
+  const std::size_t body = frame.size() - kUpTrailerBytes;
+  const std::uint8_t kind = frame.back();
+  if (kind > static_cast<std::uint8_t>(UpKind::Final)) return std::nullopt;
+  UpTrailer t;
+  t.kind = static_cast<UpKind>(kind);
+  std::size_t off = body;
+  t.metrics.loss_sum = tensor::read_pod<float>(frame, off);
+  t.metrics.steps = tensor::read_pod<float>(frame, off);
+  t.metrics.acc_sum = tensor::read_pod<float>(frame, off);
+  t.metrics.acc_n = tensor::read_pod<float>(frame, off);
+  frame.resize(body);
+  return t;
+}
+
 void encode_update_into(const std::vector<Tensor>& payload, double weight_scale,
                         const PayloadPlugins& plugins, int client_id, int num_clients,
                         FramePool& pool, Bytes& out, WireRepr repr) {

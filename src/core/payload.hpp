@@ -25,6 +25,8 @@
 // model).
 #pragma once
 
+#include <optional>
+
 #include "compression/compressor.hpp"
 #include "core/frame_pool.hpp"
 #include "privacy/mechanism.hpp"
@@ -180,6 +182,42 @@ class StreamingSum {
 // Pack/unpack a tensor list without plugins (global-payload broadcast).
 Bytes pack_tensors(const std::vector<Tensor>& ts);
 std::vector<Tensor> unpack_tensors(const Bytes& b);
+
+// --- star up-frame (DESIGN.md §4) -----------------------------------------------
+//
+// The one frame every star client sends its hub — centralized and fault
+// rounds, hierarchical trainers and leaders, and the serving tier:
+//
+//   body | f32 loss_sum | f32 steps | f32 acc_sum | f32 acc_n | u8 kind
+//        [| telemetry tail]
+//
+// The body is the encoded update (a partial frame on a leader→root link);
+// serve Join/Leave/Final frames carry an empty body. The sender appends the
+// 17-byte trailer to its pooled update frame and the hub strips it with a
+// resize (after stripping any telemetry tail), so no body is copied on
+// either side.
+enum class UpKind : std::uint8_t { Update = 0, Join = 1, Leave = 2, Final = 3 };
+
+// One client's round metrics (a leader reports its group's sum).
+struct UpMetrics {
+  float loss_sum = 0.0f;
+  float steps = 0.0f;
+  float acc_sum = 0.0f;  // test accuracy, on eval rounds
+  float acc_n = 0.0f;    // 1 when acc_sum holds an evaluation
+};
+
+struct UpTrailer {
+  UpKind kind = UpKind::Update;
+  UpMetrics metrics;
+};
+
+inline constexpr std::size_t kUpTrailerBytes = 4 * sizeof(float) + sizeof(std::uint8_t);
+
+void append_up_trailer(Bytes& frame, UpKind kind, const UpMetrics& m);
+// Strip the trailer off `frame`, leaving the body. Returns nothing, and
+// leaves `frame` untouched, for a frame shorter than the trailer or one
+// naming an unknown kind — the hub drops such a client, it never throws.
+std::optional<UpTrailer> strip_up_trailer(Bytes& frame);
 
 }  // namespace of::core
 

@@ -8,8 +8,7 @@
 namespace of::serve {
 namespace {
 
-// Decorrelate (seed, window[, pick]) into one Rng seed the same way the
-// participation schedule in node.cpp does.
+// Decorrelate (seed, window[, pick]) into one Rng seed.
 std::uint64_t window_seed(std::uint64_t seed, std::uint64_t window) {
   return seed ^ (0x9E3779B97F4A7C15ULL * (window + 1));
 }
@@ -26,9 +25,15 @@ std::size_t ClientSampler::target_count(std::size_t alive, double fraction) {
 std::vector<int> ClientSampler::sample(std::uint64_t window,
                                        const std::vector<int>& alive,
                                        double fraction) const {
+  return sample_count(window, alive, target_count(alive.size(), fraction));
+}
+
+std::vector<int> ClientSampler::sample_count(std::uint64_t window,
+                                             const std::vector<int>& alive,
+                                             std::size_t count) const {
   std::vector<int> ids = alive;
   std::sort(ids.begin(), ids.end());
-  const std::size_t k = target_count(ids.size(), fraction);
+  const std::size_t k = std::min(count, ids.size());
   tensor::Rng rng(window_seed(seed_, window));
   // Partial Fisher–Yates: the first k slots are the draw.
   for (std::size_t i = 0; i < k; ++i) {

@@ -6,7 +6,8 @@
 // rest of the framework uses — so a run's entire invitation schedule is a
 // pure function of the run seed and the registry's liveness history, and a
 // fixed-seed rerun selects the identical clients (the property test in
-// tests/test_serve.cpp).
+// tests/test_serve.cpp). The lockstep `clients_per_round` schedule draws
+// through the same sampler (`sample_count`), one window per round.
 //
 // `resample` draws replacement picks when an invited client churns away
 // mid-window: deterministic in (window, pick index), skewed away from the
@@ -32,6 +33,10 @@ class ClientSampler {
   // draw is over the sorted set). Returns fewer when alive is small.
   std::vector<int> sample(std::uint64_t window, const std::vector<int>& alive,
                           double fraction) const;
+  // The same draw for an exact count (clamped to alive.size()), returned
+  // sorted — the lockstep `clients_per_round` schedule.
+  std::vector<int> sample_count(std::uint64_t window, const std::vector<int>& alive,
+                                std::size_t count) const;
 
   // Replacement pick `pick` for `window`: one rank from `eligible` minus
   // `exclude`, or -1 when the difference is empty.

@@ -50,6 +50,32 @@ TEST(Engine, CentralizedFedAvgLearns) {
   EXPECT_GT(r.root_comm.bytes_received, 0u);
 }
 
+TEST(Engine, PerRoundBytesSumToRootCommTotals) {
+  // RoundRecord::bytes_up/bytes_down are "this round" at the root: summed
+  // over the run they must equal the root's CommStats totals, in the
+  // centralized and the hierarchical topology alike.
+  for (const bool hierarchical : {false, true}) {
+    ConfigNode cfg = base_config();
+    if (hierarchical) {
+      cfg.set_path("topology._target_", ConfigNode::string("HierarchicalTopology"));
+      cfg.set_path("topology.groups", ConfigNode::integer(2));
+      cfg.set_path("topology.group_size", ConfigNode::integer(2));
+      cfg.set_path("topology.outer_comm._target_",
+                   ConfigNode::string("TorchDistCommunicator"));
+    }
+    const RunResult r = Engine(cfg).run();
+    ASSERT_EQ(r.rounds.size(), 3u);
+    std::uint64_t up = 0, down = 0;
+    for (const auto& rec : r.rounds) {
+      EXPECT_GT(rec.bytes_up, 0u);
+      up += rec.bytes_up;
+      down += rec.bytes_down;
+    }
+    EXPECT_EQ(up, r.root_comm.bytes_received) << "hierarchical=" << hierarchical;
+    EXPECT_EQ(down, r.root_comm.bytes_sent) << "hierarchical=" << hierarchical;
+  }
+}
+
 TEST(Engine, RingTopologyLearns) {
   ConfigNode cfg = base_config();
   cfg.set_path("topology._target_", ConfigNode::string("RingTopology"));

@@ -1,22 +1,30 @@
 // Fault-model tests: spec parsing/validation, deterministic injection,
-// deadline-based partial gather, and end-to-end faulty Engine runs.
+// deadline-based partial gather, the star aggregator's handling of cut and
+// malformed clients, and end-to-end faulty Engine runs.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
 #include <thread>
 
+#include "algorithms/algorithm.hpp"
 #include "comm/inproc.hpp"
 #include "comm/star.hpp"
+#include "comm/tcp.hpp"
 #include "net_util.hpp"
 #include "config/yaml.hpp"
 #include "core/engine.hpp"
+#include "core/node.hpp"
+#include "core/payload.hpp"
 #include "fault/fault.hpp"
+#include "nn/zoo.hpp"
+#include "obs/registry.hpp"
 
 namespace {
 
 using of::comm::Communicator;
 using of::comm::InProcGroup;
+using of::comm::TcpCommunicator;
 using of::config::ConfigNode;
 using of::config::parse_yaml;
 using of::core::Engine;
@@ -165,8 +173,8 @@ TEST(FaultInjector, DisabledSpecNeverFires) {
 
 // --- deadline-based partial gather -----------------------------------------------------
 
-void run_group(int world, const std::function<void(int, Communicator&)>& fn) {
-  InProcGroup group(world);
+void run_group(InProcGroup& group, const std::function<void(int, Communicator&)>& fn) {
+  const int world = group.world_size();
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) {
@@ -181,6 +189,11 @@ void run_group(int world, const std::function<void(int, Communicator&)>& fn) {
   for (auto& t : threads) t.join();
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
+}
+
+void run_group(int world, const std::function<void(int, Communicator&)>& fn) {
+  InProcGroup group(world);
+  run_group(group, fn);
 }
 
 TEST(PartialGather, AllClientsArriveBeforeDeadline) {
@@ -242,6 +255,91 @@ TEST(PartialGather, MissedQuorumTimesOutWithReadableError) {
                       c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
                 }),
       std::runtime_error);
+}
+
+TEST(PartialGather, DeadPeersFailTheQuorumAtOnce) {
+  // Both clients of a TCP hub have closed before the gather starts: the
+  // liveness sweep drops them, and the quorum of 2 can no longer be met.
+  // The hub must fail right away — not return an empty round as if the
+  // quorum held, and not sit out the 30 s deadline either.
+  const std::uint16_t port = of::testutil::ephemeral_port();
+  std::unique_ptr<TcpCommunicator> server;
+  std::thread srv([&] { server = TcpCommunicator::make_server(port, 3); });
+  {
+    auto c1 = TcpCommunicator::make_client("127.0.0.1", port, 1, 3);
+    auto c2 = TcpCommunicator::make_client("127.0.0.1", port, 2, 3);
+    srv.join();
+  }
+  ASSERT_NE(server, nullptr);
+  for (int i = 0; i < 500 && (server->peer_alive(1) || server->peer_alive(2)); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_FALSE(server->peer_alive(1));
+  ASSERT_FALSE(server->peer_alive(2));
+
+  const star::PartialGatherOptions opt{2, 30.0, 30.0};
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)star::gather_bytes_partial(*server, {}, opt);
+    FAIL() << "a quorum of 2 was accepted with both clients dead";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("partial gather"), std::string::npos);
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+            5.0);
+}
+
+// --- the star aggregator against hand-driven clients -------------------------------
+
+TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
+  // Three hand-driven clients over InProc. In round 0 client 2 sends a
+  // well-formed frame of the wrong kind and client 3 a frame shorter than
+  // the up-frame trailer; both are dropped for that round and counted, and
+  // client 1 alone is aggregated. Round 1 is clean.
+  constexpr int kWorld = 4;
+  constexpr std::size_t kRounds = 2;
+  InProcGroup group(kWorld);
+  of::core::NodeSetup s;
+  s.role = of::core::NodeRole::Aggregator;
+  s.mode = "centralized";
+  s.global_rounds = kRounds;
+  s.cohort_size = kWorld - 1;
+  s.model = of::nn::zoo::make_model("mlp_tiny", 8, 2, 1);
+  s.algorithm = of::algorithms::make_algorithm("FedAvg");
+  s.algorithm_params = parse_yaml("lr: 0.1");
+  s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
+  s.inner_spec.group = &group;
+  s.inner_spec.world = kWorld;
+
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  const auto malformed0 = malformed.value();
+  of::core::NodeReport report;
+  run_group(group, [&](int r, Communicator& c) {
+    if (r == 0) {
+      report = of::core::NodeRuntime(std::move(s)).run();
+      return;
+    }
+    const auto opt = star::wait_for_all(c);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      Bytes global;
+      c.broadcast_bytes(global, 0);
+      Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 1.0, {},
+                                            r - 1, kWorld - 1);
+      auto kind = of::core::UpKind::Update;
+      if (round == 0 && r == 2) kind = of::core::UpKind::Join;
+      of::core::append_up_trailer(frame, kind, {2.0f * static_cast<float>(r), 1.0f});
+      if (round == 0 && r == 3) frame = Bytes{0xde, 0xad};
+      (void)star::gather_bytes_partial(c, frame, opt);
+    }
+  });
+
+  ASSERT_EQ(report.rounds.size(), kRounds);
+  EXPECT_EQ(report.rounds[0].participated, 1u);
+  EXPECT_EQ(report.rounds[0].dropped_ranks, (std::vector<int>{2, 3}));
+  EXPECT_DOUBLE_EQ(report.rounds[0].train_loss, 2.0);  // client 1's metrics only
+  EXPECT_EQ(report.rounds[1].participated, 3u);
+  EXPECT_TRUE(report.rounds[1].dropped_ranks.empty());
+  EXPECT_DOUBLE_EQ(report.rounds[1].train_loss, 4.0);
+  EXPECT_EQ(malformed.value() - malformed0, 2u);
 }
 
 // --- faulty Engine runs ----------------------------------------------------------------
@@ -356,6 +454,71 @@ TEST(EngineFault, DelaySpikesAreOutwaitedOrDropped) {
     EXPECT_EQ(rec.participated, 3u) << "round " << rec.round;
   }
   EXPECT_GT(r.final_accuracy, 0.4f);
+}
+
+TEST(EngineFault, UncutFaultRunMatchesTheNoFaultRun) {
+  // Outside fault mode the centralized loop is the deadline loop with a
+  // wait-for-all policy. A fault run whose deadline nobody hits is then the
+  // same run: same model, and every deterministic metrics column equal,
+  // participation and byte counts included.
+  Engine faulty(faulty_config(R"(fault:
+  enabled: true
+  round_deadline_seconds: 30
+)"));
+  Engine plain(faulty_config(""));
+  const RunResult a = faulty.run();
+  const RunResult b = plain.run();
+  ASSERT_FALSE(a.final_model_bytes.empty());
+  EXPECT_TRUE(a.final_model_bytes == b.final_model_bytes);
+  EXPECT_EQ(a.to_metrics_csv(), b.to_metrics_csv());
+  ASSERT_EQ(b.rounds.size(), 3u);
+  EXPECT_EQ(b.rounds[0].participated, 4u);
+}
+
+ConfigNode hier_config() {
+  ConfigNode cfg = faulty_config("");
+  cfg.set_path("topology._target_", ConfigNode::string("HierarchicalTopology"));
+  cfg.set_path("topology.groups", ConfigNode::integer(2));
+  cfg.set_path("topology.group_size", ConfigNode::integer(3));
+  cfg.set_path("topology.outer_comm._target_", ConfigNode::string("TorchDistCommunicator"));
+  cfg.set_path("eval_every", ConfigNode::integer(0));
+  cfg.set_path("algorithm.global_rounds", ConfigNode::integer(2));
+  return cfg;
+}
+
+TEST(EngineFault, HierarchicalStragglerIsCutWithoutBlockingTheRound) {
+  // Reference: the whole tree, no combiner deadline. Its mean local-train
+  // time calibrates the slowdown that makes the last trainer a straggler of
+  // over a second per round.
+  const RunResult ref = Engine(hier_config()).run();
+  ASSERT_EQ(ref.rounds.size(), 2u);
+  double slowdown = 1.0 + 2.0 / std::max(ref.train_seconds / (6.0 * 2.0), 1e-5);
+
+  // The run cannot end before the straggler trained all its rounds, so the
+  // wall time bounds its per-round delay from below. The first round's
+  // warm-up inflates the calibration mean, so a run that came out too fast
+  // is repeated with a larger slowdown.
+  RunResult r;
+  double straggler_s = 0.0;
+  for (int attempt = 0; attempt < 3 && straggler_s <= 1.0; ++attempt, slowdown *= 3.0) {
+    ConfigNode cfg = hier_config();
+    cfg.set_path("topology.combiner", parse_yaml("deadline_seconds: 0.2\nmin_clients: 1"));
+    ConfigNode slowdowns = ConfigNode::list();
+    for (int t = 0; t < 5; ++t) slowdowns.push_back(ConfigNode::floating(1.0));
+    slowdowns.push_back(ConfigNode::floating(slowdown));
+    cfg.set_path("heterogeneity.slowdowns", slowdowns);
+    r = Engine(cfg).run();
+    straggler_s = r.total_seconds / 2.0;
+  }
+  ASSERT_EQ(r.rounds.size(), 2u);
+  ASSERT_GT(straggler_s, 1.0) << "the slowed trainer was not a straggler";
+  for (const auto& rec : r.rounds)
+    EXPECT_LT(rec.seconds, 0.5 * straggler_s)
+        << "round " << rec.round << " waited for the cut straggler";
+  // Round 0 trains every client from the same initial model, so the cut
+  // run's round-0 loss equals the reference's only if the cut trainer's
+  // loss still got counted.
+  EXPECT_NE(r.rounds[0].train_loss, ref.rounds[0].train_loss);
 }
 
 TEST(EngineFault, RejectsIncompatibleConfigurations) {

@@ -506,4 +506,63 @@ TEST(PayloadF16, PartialHeaderAnnouncesReprAndOldFramesStillDecode) {
   EXPECT_EQ(f32_root.count(), 1u);
 }
 
+// --- star up-frame codec ---------------------------------------------------------
+
+TEST(UpFrame, RoundTripsEveryKindAndLeavesTheBody) {
+  const of::core::UpMetrics m{1.5f, 8.0f, 0.75f, 1.0f};
+  const Bytes body = of::core::encode_update(make_payload(3, 310), 1.0, {}, 0, 1);
+  for (const auto kind : {of::core::UpKind::Update, of::core::UpKind::Join,
+                          of::core::UpKind::Leave, of::core::UpKind::Final}) {
+    Bytes frame = body;
+    of::core::append_up_trailer(frame, kind, m);
+    ASSERT_EQ(frame.size(), body.size() + of::core::kUpTrailerBytes);
+    const auto up = of::core::strip_up_trailer(frame);
+    ASSERT_TRUE(up.has_value());
+    EXPECT_EQ(up->kind, kind);
+    EXPECT_EQ(up->metrics.loss_sum, 1.5f);
+    EXPECT_EQ(up->metrics.steps, 8.0f);
+    EXPECT_EQ(up->metrics.acc_sum, 0.75f);
+    EXPECT_EQ(up->metrics.acc_n, 1.0f);
+    EXPECT_EQ(frame, body);  // stripped in place, body untouched
+  }
+  // Join/Leave/Final frames carry an empty body.
+  Bytes control;
+  of::core::append_up_trailer(control, of::core::UpKind::Leave, {});
+  const auto up = of::core::strip_up_trailer(control);
+  ASSERT_TRUE(up.has_value());
+  EXPECT_EQ(up->kind, of::core::UpKind::Leave);
+  EXPECT_TRUE(control.empty());
+}
+
+TEST(UpFrame, RejectsTruncatedAndUnknownKindWithoutThrowing) {
+  Bytes frame = of::core::encode_update(make_payload(2, 320), 1.0, {}, 0, 1);
+  of::core::append_up_trailer(frame, of::core::UpKind::Update, {2.0f, 4.0f, 0.0f, 0.0f});
+  // Every prefix shorter than the trailer is rejected and left as-is.
+  for (std::size_t n = 0; n < of::core::kUpTrailerBytes; ++n) {
+    Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
+    const Bytes before = cut;
+    EXPECT_FALSE(of::core::strip_up_trailer(cut).has_value()) << n << " bytes";
+    EXPECT_EQ(cut, before);
+  }
+  // An unknown kind byte (anything past Final) is rejected.
+  for (int kind = 4; kind < 256; ++kind) {
+    Bytes bad = frame;
+    bad.back() = static_cast<std::uint8_t>(kind);
+    EXPECT_FALSE(of::core::strip_up_trailer(bad).has_value()) << "kind " << kind;
+    EXPECT_EQ(bad.size(), frame.size());
+  }
+  // Seeded garbage: the decoder answers or declines, and a frame it accepts
+  // has exactly the trailer removed.
+  Rng rng(330);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes junk(rng.next_below(64));
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
+    const std::size_t len = junk.size();
+    if (of::core::strip_up_trailer(junk))
+      EXPECT_EQ(junk.size(), len - of::core::kUpTrailerBytes);
+    else
+      EXPECT_EQ(junk.size(), len);
+  }
+}
+
 }  // namespace

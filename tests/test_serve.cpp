@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/algorithm.hpp"
+#include "comm/inproc.hpp"
 #include "comm/star.hpp"
 #include "comm/tcp.hpp"
 #include "net_util.hpp"
@@ -21,12 +23,16 @@
 #include "config/yaml.hpp"
 #include "core/engine.hpp"
 #include "core/frame_pool.hpp"
+#include "core/node.hpp"
 #include "core/payload.hpp"
+#include "nn/zoo.hpp"
+#include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/buffer.hpp"
 #include "serve/registry.hpp"
 #include "serve/sampler.hpp"
 #include "serve/serve.hpp"
+#include "tensor/rng.hpp"
 
 namespace {
 
@@ -93,6 +99,33 @@ TEST(ClientSamplerTest, SampleInputOrderDoesNotMatter) {
   const std::vector<int> sorted_alive{1, 2, 3, 4, 5, 6};
   const std::vector<int> shuffled_alive{4, 1, 6, 2, 5, 3};
   EXPECT_EQ(s.sample(3, sorted_alive, 0.5), s.sample(3, shuffled_alive, 0.5));
+}
+
+TEST(ClientSamplerTest, CountDrawIsTheLockstepSchedule) {
+  // The `clients_per_round` schedule: an exact count per round, drawn by a
+  // partial Fisher–Yates over the cohort seeded from (seed, round). A count
+  // is not a fraction — ceil(k/N × N) can come out one too high.
+  const std::uint64_t seed = 7 ^ 0x5E1EC7ULL;
+  const ClientSampler s(seed);
+  for (int n = 1; n <= 24; ++n) {
+    std::vector<int> cohort(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) cohort[static_cast<std::size_t>(i)] = i;
+    for (std::size_t k = 1; k <= static_cast<std::size_t>(n); ++k) {
+      for (std::uint64_t round = 0; round < 3; ++round) {
+        std::vector<int> ids = cohort;
+        of::tensor::Rng rng(seed ^ (0x9E3779B97F4A7C15ULL * (round + 1)));
+        for (std::size_t i = 0; i < k; ++i)
+          std::swap(ids[i], ids[i + rng.next_below(ids.size() - i)]);
+        ids.resize(k);
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(s.sample_count(round, cohort, k), ids) << n << " choose " << k;
+      }
+    }
+    // The fraction draw is the count draw at ceil(fraction × alive).
+    EXPECT_EQ(s.sample(5, cohort, 0.3),
+              s.sample_count(5, cohort, ClientSampler::target_count(cohort.size(), 0.3)));
+  }
+  EXPECT_EQ(s.sample_count(0, {3, 1, 2}, 10), (std::vector<int>{1, 2, 3}));  // clamped
 }
 
 TEST(ClientSamplerTest, ResampleIsDeterministicAndHonorsExclusion) {
@@ -355,6 +388,72 @@ TEST(EngineServe, SyncModeIsBitwiseIdenticalToNoServeGroup) {
   EXPECT_TRUE(ra.final_model_bytes == rb.final_model_bytes)
       << "serve: sync perturbed the training path";
   EXPECT_EQ(ra.to_metrics_csv(), rb.to_metrics_csv());
+}
+
+TEST(EngineServe, MalformedUpFrameIsDroppedAndTheClientReinvited) {
+  // One hand-driven client against the serve aggregator over InProc. Its
+  // first reply is not an up-frame; the coordinator counts and drops it,
+  // frees the invite slot and re-invites, and the run completes on the
+  // client's second, well-formed reply.
+  constexpr int kServeModel = 105;  // server → client frames
+  constexpr int kServeUpdate = 106;  // client → server up-frames
+  of::comm::InProcGroup group(2);
+  of::core::NodeSetup s;
+  s.role = of::core::NodeRole::Aggregator;
+  s.mode = "centralized";
+  s.serve.enabled = true;
+  s.serve.mode = of::serve::Mode::FedBuff;
+  s.serve.total_updates = 1;
+  s.model = of::nn::zoo::make_model("mlp_tiny", 8, 2, 1);
+  s.algorithm = of::algorithms::make_algorithm("FedAvg");
+  s.algorithm_params = parse_yaml("lr: 0.1");
+  s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
+  s.inner_spec.group = &group;
+  s.inner_spec.world = 2;
+
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  const auto malformed0 = malformed.value();
+  std::exception_ptr client_error;
+  std::thread client([&] {
+    try {
+      of::comm::Communicator& c = group.comm(1);
+      int invites = 0;
+      for (;;) {
+        const Bytes down = c.recv_bytes(0, kServeModel);
+        if (down.at(0) == 2) break;  // Stop
+        EXPECT_EQ(down.at(0), 0);    // Invite
+        if (invites++ == 0) {
+          c.send_bytes(0, kServeUpdate, Bytes{0x09});
+          continue;
+        }
+        auto delta = of::core::unpack_tensors(Bytes(down.begin() + 1, down.end()));
+        for (auto& t : delta) t.zero_();
+        Bytes up = encode_update(delta, 1.0, {}, 0, 1);
+        of::core::append_up_trailer(up, of::core::UpKind::Update, {3.0f, 2.0f});
+        c.send_bytes(0, kServeUpdate, up);
+      }
+      Bytes fin;
+      of::core::append_up_trailer(fin, of::core::UpKind::Final, {0.0f, 0.0f, 0.5f, 1.0f});
+      c.send_bytes(0, kServeUpdate, fin);
+    } catch (...) {
+      client_error = std::current_exception();
+    }
+  });
+  of::core::NodeReport report;
+  std::exception_ptr hub_error;
+  try {
+    report = of::core::NodeRuntime(std::move(s)).run();
+  } catch (...) {
+    hub_error = std::current_exception();
+  }
+  client.join();
+  if (hub_error) std::rethrow_exception(hub_error);
+  if (client_error) std::rethrow_exception(client_error);
+
+  ASSERT_EQ(report.rounds.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.rounds[0].train_loss, 1.5);
+  EXPECT_FLOAT_EQ(report.rounds[0].accuracy, 0.5f);
+  EXPECT_EQ(malformed.value() - malformed0, 1u);
 }
 
 TEST(EngineServe, FedBuffGroupLearns) {
