@@ -77,15 +77,13 @@ int main(int argc, char** argv) {
     }
 
     of::config::ConfigNode cfg;
-    std::size_t first_override = 0;
     if (!args.empty() && args[0].find('=') == std::string::npos) {
-      cfg = of::config::compose(args[0]);
-      first_override = 1;
+      // compose resolves `group=option` overrides against the file's directory.
+      cfg = of::config::compose(args[0], {args.begin() + 1, args.end()});
     } else {
       cfg = of::config::parse_yaml(kDefaultConfig);
+      for (const auto& a : args) of::config::apply_override(cfg, a);
     }
-    for (std::size_t i = first_override; i < args.size(); ++i)
-      of::config::apply_override(cfg, args[i]);
     if (!trace_path.empty()) {
       of::config::apply_override(cfg, "obs.enabled=true");
       of::config::apply_override(cfg, "obs.trace_path=" + trace_path);

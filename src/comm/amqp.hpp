@@ -40,6 +40,7 @@ class AmqpCommunicator final : public Communicator {
                                                           double timeout_seconds) override;
 
   void set_recv_timeout(double seconds) noexcept { timeout_seconds_ = seconds; }
+  double recv_timeout_seconds() const noexcept override { return timeout_seconds_; }
 
  private:
   // Pull from the queue until a frame with `tag` is available or the

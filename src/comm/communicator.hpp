@@ -106,6 +106,9 @@ class Communicator {
     OF_CHECK_MSG(false, name() << " does not support bounded any-source receive");
   }
 
+  // How long a blocking receive waits before it fails, seconds.
+  virtual double recv_timeout_seconds() const noexcept { return 60.0; }
+
   // Liveness of the link to `rank`, when the backend can observe it (TCP
   // marks a peer down on EOF/write failure). Backends with no liveness
   // signal report every peer alive; callers must then rely on deadlines.

@@ -39,6 +39,7 @@ class InProcCommunicator final : public Communicator {
                                                           double timeout_seconds) override;
 
   void set_recv_timeout(double seconds) noexcept { timeout_seconds_ = seconds; }
+  double recv_timeout_seconds() const noexcept override { return timeout_seconds_; }
 
  private:
   InProcGroup* group_;

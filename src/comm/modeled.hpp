@@ -52,6 +52,9 @@ class ModeledLinkCommunicator final : public Communicator {
   std::optional<std::pair<int, Bytes>> try_recv_bytes_any(int tag,
                                                           double timeout_seconds) override;
   bool peer_alive(int rank) const override { return inner_->peer_alive(rank); }
+  double recv_timeout_seconds() const noexcept override {
+    return inner_->recv_timeout_seconds();
+  }
   CommStats stats() const override {
     // Surface the inner transport's fault counters through the decorator.
     CommStats s = stats_;

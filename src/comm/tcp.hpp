@@ -123,6 +123,7 @@ class TcpCommunicator final : public Communicator {
   CommStats stats() const override;
 
   void set_recv_timeout(double seconds) noexcept { timeout_seconds_ = seconds; }
+  double recv_timeout_seconds() const noexcept override { return timeout_seconds_; }
   std::uint64_t reconnect_count() const noexcept { return reconnects_.load(); }
 
   // Fault-injection hook: tear down the live socket to `peer_rank` (clients:

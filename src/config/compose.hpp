@@ -10,7 +10,10 @@
 //     - override algorithm: fedprox   # same, explicitly replacing an earlier default
 //
 // Entries compose in order; the body of the file wins over its defaults;
-// CLI overrides win over everything.
+// CLI overrides win over everything. An override "group=option" whose
+// <dir>/<group>/<option>.yaml exists selects that file for the group, as in
+// Hydra: it replaces the group's defaults entry (or adds one) before
+// composition. Any other override is a dotted-path value.
 #pragma once
 
 #include <string>
@@ -21,7 +24,8 @@
 namespace of::config {
 
 // Apply one "dotted.path=value" assignment (value parsed as a YAML scalar
-// or flow list).
+// or flow list). Group selections need the config directory: pass them to
+// compose / compose_from instead.
 void apply_override(ConfigNode& root, const std::string& assignment);
 
 // Compose a parsed config whose group files live under `base_dir`.

@@ -864,9 +864,9 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       // Our update was rejected (buffer full or over-stale): honour the
       // coordinator's pacing before blocking on the next invite.
       ++off;  // reason byte — coordinator-side telemetry, unused here
-      const auto retry_after = tensor::read_pod<float>(frame, off);
-      if (retry_after > 0.0f)
-        std::this_thread::sleep_for(std::chrono::duration<double>(retry_after));
+      const double wait = serve::retry_wait_seconds(tensor::read_pod<float>(frame, off),
+                                                    inner.recv_timeout_seconds());
+      if (wait > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(wait));
       continue;
     }
     OF_CHECK_MSG(kind == kDownInvite,

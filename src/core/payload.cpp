@@ -1,6 +1,7 @@
 #include "core/payload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iterator>
 
@@ -17,16 +18,6 @@ namespace {
 
 using tensor::ConstFloatSpan;
 using tensor::FloatSpan;
-
-// Aggregations below this element count stay serial — the pool round-trip
-// costs more than the arithmetic. Sharding over coordinates preserves the
-// per-element accumulation order, so serial and parallel results are
-// bitwise identical and the gate may consult the thread count.
-constexpr std::size_t kAggParallelCutoff = 1 << 14;
-
-bool agg_parallel(std::size_t total) {
-  return total >= kAggParallelCutoff && exec::Pool::global().threads() > 1;
-}
 
 enum : std::uint8_t {
   kPlain = 0,
@@ -351,7 +342,8 @@ std::vector<Tensor> StreamingSum::finish_mean() {
 }
 
 PayloadConfig PayloadConfig::from_config(const config::ConfigNode& node, bool strict) {
-  if (!node.is_map()) return PayloadConfig{};
+  // Strict parsing rejects a scalar (an unresolved `payload=<option>`).
+  if (!strict && !node.is_map()) return PayloadConfig{};
   return refl::from_node<PayloadConfig>(node, "payload", {}, strict);
 }
 
@@ -544,11 +536,8 @@ std::vector<Tensor> robust_combine(const std::vector<Bytes>& raw_frames,
       }
     }
   };
-  if (agg_parallel(total)) {
-    exec::Pool::global().parallel_for(total, 0, coords);
-  } else {
-    coords(0, total);
-  }
+  // A coordinate costs a k-element gather and sort, about k·log2(k).
+  exec::Pool::global().parallel_for(total, k * std::bit_width(k), coords);
   return split_flat(ConstFloatSpan(*result), shapes);
 }
 
@@ -616,11 +605,11 @@ std::vector<Tensor> mean_updates(const std::vector<Bytes>& raw_frames,
   std::fill(acc->begin(), acc->end(), 0.0f);
 
   const std::size_t elem = plain_elem_size(mode);
-  if (plain_mode(mode) && agg_parallel(total)) {
+  if (plain_mode(mode)) {
     // Shard coordinates across the pool; each shard walks the frames in
     // arrival order, so every element sees the exact serial accumulation
-    // order and the mean is bitwise identical to the serial path.
-    exec::Pool::global().parallel_for(total, 0, [&](std::size_t lo, std::size_t hi) {
+    // order and the mean is bitwise identical for any thread count.
+    exec::Pool::global().parallel_for(total, frames.size(), [&](std::size_t lo, std::size_t hi) {
       FloatSpan dst = FloatSpan(*acc).subspan(lo, hi - lo);
       for (std::size_t fi = 0; fi < frames.size(); ++fi)
         accum_plain_bytes(mode,
@@ -628,34 +617,19 @@ std::vector<Tensor> mean_updates(const std::vector<Bytes>& raw_frames,
                                              (hi - lo) * elem),
                           1.0, dst);
     });
-  } else if (mode == kCompressed && agg_parallel(total)) {
-    // Codecs may keep internal scratch, so decoding stays on this thread
-    // (one pooled buffer per frame); only the elementwise accumulation is
-    // sharded, again preserving the serial per-element frame order.
-    std::vector<FramePool::FloatHandle> decoded;
-    decoded.reserve(frames.size());
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      FramePool::FloatHandle flat = p.acquire_floats(total);
-      decode_body_into(frames[fi], body_off[fi], mode, total, decompressor,
-                       FloatSpan(*flat));
-      decoded.push_back(std::move(flat));
-    }
-    float* a = acc->data();
-    exec::Pool::global().parallel_for(total, 0, [&](std::size_t lo, std::size_t hi) {
-      for (const auto& d : decoded) simd::add(a + lo, d->data() + lo, hi - lo);
-    });
   } else {
-    FramePool::FloatHandle scratch;  // non-plain path only
-    if (!plain_mode(mode)) scratch = p.acquire_floats(total);
+    // Codecs may keep internal scratch, so decoding stays on this thread,
+    // one frame at a time into one pooled buffer; only the elementwise
+    // accumulation is sharded, in the serial per-element frame order.
+    FramePool::FloatHandle scratch = p.acquire_floats(total);
+    float* a = acc->data();
+    const float* d = scratch->data();
     for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      const ConstByteSpan f = frames[fi];
-      if (plain_mode(mode)) {
-        accum_plain_bytes(mode, f.subspan(body_off[fi]), 1.0, FloatSpan(*acc));
-      } else {
-        decode_body_into(f, body_off[fi], mode, total, decompressor,
-                         FloatSpan(*scratch));
-        simd::add(acc->data(), scratch->data(), total);
-      }
+      decode_body_into(frames[fi], body_off[fi], mode, total, decompressor,
+                       FloatSpan(*scratch));
+      exec::Pool::global().parallel_for(total, 1, [&](std::size_t lo, std::size_t hi) {
+        simd::add(a + lo, d + lo, hi - lo);
+      });
     }
   }
   simd::scale(acc->data(), inv_k, total);

@@ -34,7 +34,10 @@ obs::Histogram& job_latency_hist() {
 }  // namespace
 
 ExecConfig ExecConfig::from_config(const config::ConfigNode& node, bool strict) {
-  if (!node.is_map()) return ExecConfig{};
+  // A scalar here is a group selection that never reached a file (e.g. an
+  // `exec=parallel` override composed without its config directory);
+  // strict parsing rejects it instead of running serial defaults.
+  if (!strict && !node.is_map()) return ExecConfig{};
   ExecConfig c = refl::from_node<ExecConfig>(node, "exec", {}, strict);
   if (c.grain == 0) c.grain = 1;
   return c;
@@ -118,24 +121,18 @@ void Pool::execute(Job& job) {
   t_in_region = false;
 }
 
-void Pool::run_chunks(std::size_t n, std::size_t grain, const ChunkFn& fn) {
-  if (n == 0) return;
-  const std::size_t g = effective_grain(grain);
-  const std::size_t chunks = (n + g - 1) / g;
-  // Serial pool, nested region, or a single chunk: run inline. The chunk
-  // boundaries are the same ones the parallel path would use.
-  if (workers_.empty() || t_in_region || chunks == 1) {
-    const bool was_in_region = t_in_region;
-    t_in_region = true;
-    for (std::size_t c = 0; c < chunks; ++c) fn(c, c * g, std::min(n, (c + 1) * g));
-    t_in_region = was_in_region;
-    return;
-  }
+Pool::InlineRegion::InlineRegion() noexcept : was_in_region_(t_in_region) {
+  t_in_region = true;
+}
 
+Pool::InlineRegion::~InlineRegion() { t_in_region = was_in_region_; }
+
+void Pool::dispatch(std::size_t n, std::size_t grain, const ChunkFn& fn) {
+  const std::size_t chunks = (n + grain - 1) / grain;
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->n = n;
-  job->grain = g;
+  job->grain = grain;
   job->chunks = chunks;
 
   jobs_counter().inc();

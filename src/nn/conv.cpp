@@ -29,6 +29,10 @@ Conv2d::Conv2d(ImageGeom in, std::size_t out_channels, std::size_t kernel,
   out_.width = in_.width + 2 * padding_ - kernel_ + 1;
 }
 
+std::size_t Conv2d::sample_madds() const noexcept {
+  return out_.features() * in_.channels * kernel_ * kernel_;
+}
+
 float Conv2d::in_at(const Tensor& x, std::size_t b, std::size_t c, std::ptrdiff_t i,
                     std::ptrdiff_t j) const {
   if (i < 0 || j < 0 || i >= static_cast<std::ptrdiff_t>(in_.height) ||
@@ -94,11 +98,7 @@ Tensor Conv2d::forward(const Tensor& x) {
   };
   // Each sample writes its own output row — disjoint, so parallel execution
   // produces the same bytes as the serial loop for any thread count.
-  if (batch > 1 && exec::Pool::global().threads() > 1) {
-    exec::Pool::global().parallel_for(batch, 1, sample_range);
-  } else {
-    sample_range(0, batch);
-  }
+  exec::Pool::global().parallel_for(batch, sample_madds(), sample_range);
   return y;
 }
 
@@ -108,15 +108,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // Weight/bias grads are shared across samples, so each chunk accumulates
   // into a private partial buffer and the partials are folded in chunk
   // order afterwards. The chunking depends only on the batch size — when
-  // the pool is serial the chunks run inline in the same order — so the
-  // result is bitwise identical for any thread count. dx rows are disjoint
+  // the pool runs the region inline the chunks run in the same order — so
+  // the result is bitwise identical for any thread count. dx rows are disjoint
   // per sample and written directly.
   const std::size_t grain = (batch + 7) / 8;
   const std::size_t chunks = batch == 0 ? 0 : (batch + grain - 1) / grain;
   const std::size_t wcols = in_.channels * kernel_ * kernel_;
   std::vector<std::vector<float>> dw(chunks), db(chunks);
+  // Each tap feeds both the weight gradient and dx: two multiply-adds.
   exec::Pool::global().run_chunks(
-      batch, grain, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+      batch, grain, 2 * sample_madds(),
+      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
         dw[chunk].assign(out_.channels * wcols, 0.0f);
         db[chunk].assign(out_.channels, 0.0f);
         float* wg = dw[chunk].data();

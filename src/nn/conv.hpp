@@ -41,6 +41,9 @@ class Conv2d final : public Module {
 
   float in_at(const Tensor& x, std::size_t b, std::size_t c, std::ptrdiff_t i,
               std::ptrdiff_t j) const;
+  // Multiply-adds one sample costs in the forward pass (zero-padding taps
+  // included): the pool's work estimate for both passes.
+  std::size_t sample_madds() const noexcept;
 };
 
 // 2×2 max pooling, stride 2 (floor semantics on odd sizes).

@@ -1,5 +1,8 @@
 #include "serve/serve.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/check.hpp"
 #include "refl/config_io.hpp"
 
@@ -18,6 +21,12 @@ ServeConfig ServeConfig::from_config(const config::ConfigNode& node, bool strict
                  "serve.max_staleness only applies to mode: fedbuff");
   }
   return cfg;
+}
+
+double retry_wait_seconds(float retry_after, double cap_seconds) noexcept {
+  // !(x > 0) also catches NaN.
+  if (!std::isfinite(retry_after) || !(retry_after > 0.0f) || !(cap_seconds > 0.0)) return 0.0;
+  return std::min(static_cast<double>(retry_after), cap_seconds);
 }
 
 }  // namespace of::serve

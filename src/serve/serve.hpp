@@ -72,6 +72,13 @@ struct ServeConfig {
   static ServeConfig from_config(const config::ConfigNode& node, bool strict = true);
 };
 
+// How long a trainer waits on a retry-after reply carrying `retry_after`
+// seconds from the coordinator: a NaN, infinite, zero or negative value
+// means no wait, and the wait never exceeds `cap_seconds` (the trainer's
+// receive timeout), so a hostile or corrupt value cannot stall it or
+// overflow the sleep's duration conversion.
+double retry_wait_seconds(float retry_after, double cap_seconds) noexcept;
+
 }  // namespace of::serve
 
 template <>

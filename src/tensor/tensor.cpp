@@ -11,18 +11,9 @@
 namespace of::tensor {
 namespace {
 
-// Disjoint-write loops below this size are not worth a pool round-trip.
-// The gate may depend on the thread count because chunked and serial
-// execution write identical bytes; reductions must NOT use it (their chunk
-// tree has to be thread-count independent — see sum()).
-constexpr std::size_t kParallelCutoff = 1 << 14;
-
-inline bool parallel_worthwhile(std::size_t n) {
-  return n >= kParallelCutoff && exec::Pool::global().threads() > 1;
-}
-
-// Reductions switch to the fixed chunk tree at this size *regardless of
-// thread count*, so threads=1 and threads=N accumulate in the same order.
+// Reductions use this fixed chunk tree at every size and thread count, so
+// threads=1 and threads=N accumulate in the same order; the pool decides
+// whether to dispatch it.
 constexpr std::size_t kReduceChunk = 1 << 15;
 
 }  // namespace
@@ -97,22 +88,18 @@ Tensor& Tensor::fill_(float v) noexcept {
 }
 
 // Elementwise kernels dispatch through of::simd (lane-independent, so the
-// vector and scalar tables write identical bytes); the parallel gate only
-// shards the range — each shard runs the same kernel.
+// vector and scalar tables write identical bytes); the pool only shards the
+// range — each shard runs the same kernel. One element is one operation.
 #define OF_TENSOR_BINARY_INPLACE(name, kernel)                                     \
   Tensor& Tensor::name(const Tensor& other) {                                      \
     OF_CHECK_MSG(same_shape(other), "shape mismatch " << shape_string() << " vs "  \
                                                       << other.shape_string());    \
     const float* o = other.data_.data();                                           \
     float* d = data_.data();                                                       \
-    const std::size_t n = data_.size();                                            \
-    if (parallel_worthwhile(n)) {                                                  \
-      exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {     \
-        simd::kernel(d + b, o + b, e - b);                                         \
-      });                                                                          \
-    } else {                                                                       \
-      simd::kernel(d, o, n);                                                       \
-    }                                                                              \
+    exec::Pool::global().parallel_for(data_.size(), 1,                             \
+                                      [&](std::size_t b, std::size_t e) {          \
+                                        simd::kernel(d + b, o + b, e - b);         \
+                                      });                                          \
     return *this;                                                                  \
   }
 
@@ -125,26 +112,18 @@ OF_TENSOR_BINARY_INPLACE(div_, div)
 Tensor& Tensor::add_scalar_(float v) noexcept {
   float* d = data_.data();
   const std::size_t n = data_.size();
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      simd::add_scalar(d + b, v, e - b);
-    });
-  } else {
-    simd::add_scalar(d, v, n);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    simd::add_scalar(d + b, v, e - b);
+  });
   return *this;
 }
 
 Tensor& Tensor::scale_(float v) noexcept {
   float* d = data_.data();
   const std::size_t n = data_.size();
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      simd::scale(d + b, v, e - b);
-    });
-  } else {
-    simd::scale(d, v, n);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    simd::scale(d + b, v, e - b);
+  });
   return *this;
 }
 
@@ -154,13 +133,9 @@ Tensor& Tensor::add_scaled_(const Tensor& other, float alpha) {
   const float* o = other.data_.data();
   float* d = data_.data();
   const std::size_t n = data_.size();
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      simd::axpy(d + b, o + b, alpha, e - b);
-    });
-  } else {
-    simd::axpy(d, o, alpha, n);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    simd::axpy(d + b, o + b, alpha, e - b);
+  });
   return *this;
 }
 
@@ -170,26 +145,18 @@ Tensor& Tensor::clamp_(float lo, float hi) noexcept {
   // simd::clamp uses the intrinsic operand order (d>lo?d:lo, then t<hi?t:hi),
   // which agrees with min(hi, max(lo, d)) for every input including NaN
   // (both resolve NaN to lo).
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      simd::clamp(d + b, lo, hi, e - b);
-    });
-  } else {
-    simd::clamp(d, lo, hi, n);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    simd::clamp(d + b, lo, hi, e - b);
+  });
   return *this;
 }
 
 Tensor& Tensor::abs_() noexcept {
   float* d = data_.data();
   const std::size_t n = data_.size();
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) d[i] = std::fabs(d[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) d[i] = std::fabs(d[i]);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) d[i] = std::fabs(d[i]);
+  });
   return *this;
 }
 
@@ -197,13 +164,9 @@ Tensor& Tensor::sign_() noexcept {
   float* d = data_.data();
   const std::size_t n = data_.size();
   const auto sgn = [](float v) { return (v > 0.0f) ? 1.0f : (v < 0.0f ? -1.0f : 0.0f); };
-  if (parallel_worthwhile(n)) {
-    exec::Pool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) d[i] = sgn(d[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) d[i] = sgn(d[i]);
-  }
+  exec::Pool::global().parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) d[i] = sgn(d[i]);
+  });
   return *this;
 }
 
@@ -227,9 +190,8 @@ float Tensor::sum() const noexcept {
     for (std::size_t i = b; i < e; ++i) acc += static_cast<double>(d[i]);
     return acc;
   };
-  if (n < kReduceChunk) return static_cast<float>(partial(0, n));
   const double acc = exec::Pool::global().parallel_reduce(
-      n, kReduceChunk, 0.0, partial, [](double a, double b) { return a + b; });
+      n, kReduceChunk, 1, 0.0, partial, [](double a, double b) { return a + b; });
   return static_cast<float>(acc);
 }
 
@@ -257,9 +219,8 @@ float Tensor::l2_norm_squared() const noexcept {
       acc += static_cast<double>(d[i]) * static_cast<double>(d[i]);
     return acc;
   };
-  if (n < kReduceChunk) return static_cast<float>(partial(0, n));
   const double acc = exec::Pool::global().parallel_reduce(
-      n, kReduceChunk, 0.0, partial, [](double a, double b) { return a + b; });
+      n, kReduceChunk, 1, 0.0, partial, [](double a, double b) { return a + b; });
   return static_cast<float>(acc);
 }
 
@@ -276,9 +237,8 @@ float Tensor::dot(const Tensor& other) const {
       acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
     return acc;
   };
-  if (n < kReduceChunk) return static_cast<float>(partial(0, n));
   const double acc = exec::Pool::global().parallel_reduce(
-      n, kReduceChunk, 0.0, partial, [](double x, double y) { return x + y; });
+      n, kReduceChunk, 1, 0.0, partial, [](double x, double y) { return x + y; });
   return static_cast<float>(acc);
 }
 
@@ -324,14 +284,8 @@ Tensor Tensor::matmul(const Tensor& rhs) const {
     }
   };
   // Output rows are disjoint, so per-row parallelism writes the same bytes
-  // as the serial loop for any thread count.
-  if (m > 1 && exec::Pool::global().threads() > 1 && m * n * k >= kParallelCutoff) {
-    const std::size_t per_row = std::max<std::size_t>(1, n * k);
-    const std::size_t grain = std::max<std::size_t>(1, kParallelCutoff / per_row);
-    exec::Pool::global().parallel_for(m, grain, rows);
-  } else {
-    rows(0, m);
-  }
+  // as the serial loop for any thread count. A row is n·k multiply-adds.
+  exec::Pool::global().parallel_for(m, n * k, rows);
   return out;
 }
 
@@ -345,12 +299,7 @@ Tensor Tensor::transpose2d() const {
     for (std::size_t i = lo; i < hi; ++i)
       for (std::size_t j = 0; j < c; ++j) dst[j * r + i] = src[i * c + j];
   };
-  if (r > 1 && parallel_worthwhile(r * c)) {
-    const std::size_t grain = std::max<std::size_t>(1, kParallelCutoff / std::max<std::size_t>(1, c));
-    exec::Pool::global().parallel_for(r, grain, rows);
-  } else {
-    rows(0, r);
-  }
+  exec::Pool::global().parallel_for(r, c, rows);  // one copy per element
   return out;
 }
 

@@ -6,6 +6,8 @@
 #include "config/compose.hpp"
 #include "config/registry.hpp"
 #include "config/yaml.hpp"
+#include "core/payload.hpp"
+#include "exec/pool.hpp"
 
 namespace {
 
@@ -319,6 +321,51 @@ TEST_F(ComposeFixture, OverrideMarkerReplacesEarlierDefault) {
 TEST_F(ComposeFixture, MissingGroupFileThrows) {
   write(dir_ + "/bad.yaml", "defaults:\n  - topology: mesh\n");
   EXPECT_THROW(of::config::compose(dir_ + "/bad.yaml"), std::runtime_error);
+}
+
+TEST_F(ComposeFixture, GroupOverrideSelectsTheOptionFile) {
+  // Hydra: `algorithm=fedprox` swaps the group's defaults entry, and the
+  // dotted overrides still land on top of the selected file.
+  const ConfigNode n = of::config::compose(dir_ + "/main.yaml",
+                                           {"algorithm=fedprox", "algorithm.mu=0.3"});
+  EXPECT_EQ(of::config::target_basename(n.at_path("algorithm._target_").as_string()),
+            "FedProx");
+  EXPECT_DOUBLE_EQ(n.at_path("algorithm.mu").as_double(), 0.3);
+  EXPECT_EQ(n.at_path("topology.num_clients").as_int(), 4);
+}
+
+TEST_F(ComposeFixture, GroupOverrideAddsAGroupTheDefaultsLack) {
+  write(dir_ + "/bare.yaml", "defaults:\n  - topology: centralized\nseed: 3\n");
+  const ConfigNode n = of::config::compose(dir_ + "/bare.yaml", {"algorithm=fedavg"});
+  EXPECT_EQ(of::config::target_basename(n.at_path("algorithm._target_").as_string()),
+            "FedAvg");
+  EXPECT_EQ(n.at("seed").as_int(), 3);
+}
+
+TEST_F(ComposeFixture, OverrideWithoutAnOptionFileStaysAValue) {
+  // No <dir>/algorithm/sgd.yaml and no <dir>/seed/ directory: plain values.
+  const ConfigNode n = of::config::compose(dir_ + "/main.yaml", {"seed=5", "algorithm=sgd"});
+  EXPECT_EQ(n.at("seed").as_int(), 5);
+  EXPECT_EQ(n.at("algorithm").as_string(), "sgd");
+}
+
+TEST(ConfigGroups, ExecOverrideSelectsTheParallelPreset) {
+  // Read as a dotted value, `exec=parallel` would replace the exec map with
+  // the string "parallel".
+  const ConfigNode n = of::config::compose(std::string(OF_CONFIGS_DIR) + "/quickstart.yaml",
+                                           {"exec=parallel"});
+  const auto exec = of::exec::ExecConfig::from_config(n.at("exec"));
+  EXPECT_EQ(exec.threads, 0u);  // one per hardware core
+}
+
+TEST(ConfigGroups, ScalarWhereAGroupBelongsIsAStrictError) {
+  const ConfigNode scalar = ConfigNode::string("parallel");
+  EXPECT_THROW(of::exec::ExecConfig::from_config(scalar, /*strict=*/true), std::runtime_error);
+  EXPECT_EQ(of::exec::ExecConfig::from_config(scalar, /*strict=*/false).threads, 1u);
+  EXPECT_THROW(of::core::PayloadConfig::from_config(scalar, /*strict=*/true),
+               std::runtime_error);
+  // A missing group still yields the defaults.
+  EXPECT_EQ(of::exec::ExecConfig::from_config(ConfigNode::null()).threads, 1u);
 }
 
 TEST(Override, ParsesTypedValues) {

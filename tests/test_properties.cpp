@@ -12,6 +12,7 @@
 #include "core/payload.hpp"
 #include "data/partition.hpp"
 #include "exec/pool.hpp"
+#include "obs/registry.hpp"
 #include "privacy/biguint.hpp"
 #include "privacy/he.hpp"
 #include "privacy/secure_agg.hpp"
@@ -210,25 +211,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1, 2, 3, 5, 8, 13))
 
 // --- end-to-end execution determinism ---------------------------------------------------
 
-// The of::exec contract (DESIGN.md §8): chunk decomposition depends only on
-// (size, grain), reductions always fold partials in fixed chunk order, and
-// parallel aggregation preserves per-coordinate frame order. Consequence: the
-// entire federated run — final model bytes AND the metric trace — is bitwise
-// identical whether the pool has 1 thread or 4.
+// The of::exec contract (DESIGN.md §8): disjoint-write loops write the same
+// bytes however they are chunked, reductions always fold partials in a
+// chunk tree fixed by (size, grain), and parallel aggregation preserves
+// per-coordinate frame order. Consequence: the entire federated run — final
+// model bytes AND the metric trace — is bitwise identical whether the pool
+// has 1 thread or 4. mlp_tiny is small enough that every region runs
+// inline; vgg11_mini at batch 32 dispatches its hidden-layer matmuls and
+// its aggregation, so the 4-thread run really goes through the workers.
 TEST(ExecDeterminism, FullRunBitwiseIdenticalAcrossThreadCounts) {
-  const auto run_with_threads = [](std::int64_t threads) {
-    ConfigNode cfg = of::config::parse_yaml(R"(
+  struct Shape {
+    const char* model;
+    std::int64_t batch;
+    bool dispatches;
+  };
+  for (const Shape& shape : {Shape{"mlp_tiny", 16, false}, Shape{"vgg11_mini", 32, true}}) {
+    const auto run_with_threads = [&](std::int64_t threads) {
+      ConfigNode cfg = of::config::parse_yaml(R"(
 seed: 7
 topology:
   _target_: src.omnifed.topology.CentralizedTopology
   num_clients: 4
   inner_comm:
     _target_: src.omnifed.communicator.TorchDistCommunicator
-model: mlp_tiny
 datamodule:
   preset: toy
   partition: iid
-  batch_size: 16
 algorithm:
   _target_: src.omnifed.algorithm.FedAvg
   global_rounds: 3
@@ -238,20 +246,31 @@ algorithm:
   weight_decay: 1.0e-4
 eval_every: 1
 )");
-    cfg.set_path("exec.threads", ConfigNode::integer(threads));
-    of::core::Engine engine(std::move(cfg));
-    return engine.run();
-  };
+      cfg.set_path("model", ConfigNode::string(shape.model));
+      cfg.set_path("datamodule.batch_size", ConfigNode::integer(shape.batch));
+      cfg.set_path("exec.threads", ConfigNode::integer(threads));
+      of::core::Engine engine(std::move(cfg));
+      return engine.run();
+    };
+    auto& jobs = of::obs::Registry::global().counter("exec.jobs");
 
-  const auto serial = run_with_threads(1);
-  const auto parallel = run_with_threads(4);
-  of::exec::Pool::global().configure(1);  // leave later tests serial
+    const auto serial = run_with_threads(1);
+    const std::uint64_t before = jobs.value();
+    const auto parallel = run_with_threads(4);
+    const std::uint64_t dispatched = jobs.value() - before;
+    of::exec::Pool::global().configure(1);  // leave later tests serial
 
-  ASSERT_FALSE(serial.final_model_bytes.empty());
-  ASSERT_EQ(serial.final_model_bytes.size(), parallel.final_model_bytes.size());
-  EXPECT_TRUE(serial.final_model_bytes == parallel.final_model_bytes)
-      << "final model diverged between threads=1 and threads=4";
-  EXPECT_EQ(serial.to_metrics_csv(), parallel.to_metrics_csv());
+    if (shape.dispatches) {
+      EXPECT_GT(dispatched, 0u) << shape.model << " never reached the workers";
+    } else {
+      EXPECT_EQ(dispatched, 0u) << shape.model;
+    }
+    ASSERT_FALSE(serial.final_model_bytes.empty());
+    ASSERT_EQ(serial.final_model_bytes.size(), parallel.final_model_bytes.size());
+    EXPECT_TRUE(serial.final_model_bytes == parallel.final_model_bytes)
+        << shape.model << ": final model diverged between threads=1 and threads=4";
+    EXPECT_EQ(serial.to_metrics_csv(), parallel.to_metrics_csv()) << shape.model;
+  }
 }
 
 }  // namespace

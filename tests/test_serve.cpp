@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -286,6 +287,20 @@ TEST(ServeConfigTest, ConfigGroupsComposeFromConfigsDir) {
 }
 
 // --- zero-survivor streaming gather (combiner + root tiers) -------------------
+
+TEST(RetryPacing, HostileRetryAfterValuesNeverStallTheTrainer) {
+  constexpr double kCap = 60.0;  // the backends' default receive timeout
+  EXPECT_EQ(of::serve::retry_wait_seconds(std::numeric_limits<float>::quiet_NaN(), kCap), 0.0);
+  EXPECT_EQ(of::serve::retry_wait_seconds(-1.0f, kCap), 0.0);
+  EXPECT_EQ(of::serve::retry_wait_seconds(0.0f, kCap), 0.0);
+  EXPECT_EQ(of::serve::retry_wait_seconds(std::numeric_limits<float>::infinity(), kCap), 0.0);
+  EXPECT_EQ(of::serve::retry_wait_seconds(-std::numeric_limits<float>::infinity(), kCap), 0.0);
+  // Finite but far past any duration<nanoseconds> range: capped.
+  EXPECT_EQ(of::serve::retry_wait_seconds(1e30f, kCap), kCap);
+  EXPECT_EQ(of::serve::retry_wait_seconds(1e30f, 0.5), 0.5);
+  // An ordinary pacing value passes through.
+  EXPECT_DOUBLE_EQ(of::serve::retry_wait_seconds(0.01f, kCap), static_cast<double>(0.01f));
+}
 
 TEST(ZeroSurvivors, EmptyCombinerPartialKeepsRootCountAtZero) {
   // Combiner tier: every group member was cut, so the combiner's partial is
