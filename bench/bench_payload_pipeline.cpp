@@ -13,6 +13,7 @@
 #include "compression/quantize.hpp"
 #include "compression/sparsify.hpp"
 #include "core/payload.hpp"
+#include "nn/zoo.hpp"
 #include "privacy/dp.hpp"
 #include "simd/simd.hpp"
 
@@ -189,6 +190,33 @@ void BM_AggregateRound(benchmark::State& state, Mode m, of::simd::Mode simd) {
   of::simd::configure(of::simd::Mode::Auto);
 }
 
+// The hub's model frame for vgg11_mini (~677 KB): `fresh` packs into a new
+// buffer per call; `reused` clears and refills one buffer that keeps its
+// capacity, as every hub does once per model version (DESIGN.md §6).
+void BM_ModelPack(benchmark::State& state, bool reused) {
+  const std::vector<Tensor> model =
+      of::nn::zoo::make_model("vgg11_mini", 16, 4, 1).parameter_values();
+  Bytes frame;
+  of::core::pack_tensors_into(model, frame);  // warmup: capacity for `reused`
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    if (reused) {
+      frame.clear();
+      of::core::pack_tensors_into(model, frame);
+      benchmark::DoNotOptimize(frame.data());
+    } else {
+      Bytes fresh = of::core::pack_tensors(model);
+      benchmark::DoNotOptimize(fresh.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  state.counters["allocs_per_pack"] = benchmark::Counter(
+      static_cast<double>(a1 - a0) / static_cast<double>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+}
+
 }  // namespace
 
 #define OF_PIPELINE_BENCH_ONE(fn, mode, level, simd_name)                        \
@@ -212,5 +240,7 @@ OF_PIPELINE_BENCH(BM_AggregateRound, PlainF16);
 OF_PIPELINE_BENCH(BM_AggregateRound, TopK);
 OF_PIPELINE_BENCH(BM_AggregateRound, Qsgd);
 OF_PIPELINE_BENCH(BM_AggregateRound, Dp);
+BENCHMARK_CAPTURE(BM_ModelPack, fresh, false)->Name("BM_ModelPack/fresh")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ModelPack, reused, true)->Name("BM_ModelPack/reused")->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

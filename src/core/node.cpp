@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -35,6 +36,12 @@ obs::Histogram& async_staleness_hist() {
 
 obs::Counter& malformed_dropped() {
   static obs::Counter& c = obs::Registry::global().counter("payload.malformed_dropped");
+  return c;
+}
+
+// Serve invite frames built: one per model version (= buffer drains + 1).
+obs::Counter& serve_model_encodes() {
+  static obs::Counter& c = obs::Registry::global().counter("serve.model_encodes");
   return c;
 }
 
@@ -396,6 +403,9 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
   state.params = s_.algorithm_params;
   state.global = algo.initial_global(s_.model);
   const auto opt = round_gather_options(inner);
+  // The model frame is node-owned and keeps its capacity: each round
+  // re-encodes into it without a fresh allocation (DESIGN.md §6).
+  tensor::Bytes gbytes;
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -403,7 +413,8 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
     const auto bytes_sent_before = inner.stats().bytes_sent;
     const auto bytes_recv_before = inner.stats().bytes_received;
 
-    tensor::Bytes gbytes = pack_tensors(state.global);
+    gbytes.clear();
+    pack_tensors_into(state.global, gbytes);
     {
       ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
       inner.broadcast_bytes(gbytes, 0);
@@ -659,13 +670,21 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
   std::uint64_t resampled = 0;
   std::uint64_t pick_counter = 0;
 
+  // One invite frame per model version, `kDownInvite | packed global`,
+  // built at start and after every drain into a buffer that keeps its
+  // capacity; every invite of that version sends it unchanged.
+  tensor::Bytes invite;
+  auto encode_invite = [&] {
+    invite.clear();
+    invite.push_back(kDownInvite);
+    pack_tensors_into(state.global, invite);
+    serve_model_encodes().inc();
+  };
+  encode_invite();
+
   auto send_model = [&](int dst) {
-    tensor::Bytes frame;
-    tensor::append_pod<std::uint8_t>(frame, kDownInvite);
-    const tensor::Bytes packed = pack_tensors(state.global);
-    frame.insert(frame.end(), packed.begin(), packed.end());
-    ScopedSpan span(Name::Send, s_.node_id, trace_round, frame.size());
-    inner.send_bytes(dst, kServeModel, frame);
+    ScopedSpan span(Name::Send, s_.node_id, trace_round, invite.size());
+    inner.send_bytes(dst, kServeModel, invite);
     invited_version[static_cast<std::size_t>(dst)] =
         version.load(std::memory_order_relaxed);
     in_flight.insert(dst);
@@ -754,9 +773,20 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
     in_flight.erase(src);
     const auto staleness =
         static_cast<std::size_t>(v - invited_version[static_cast<std::size_t>(src)]);
+    serve::StalenessBuffer::Admission admission;
+    try {
+      admission = buffer.offer(frame, staleness);
+    } catch (const std::exception&) {
+      // A valid trailer over an undecodable body. The fold checks the whole
+      // frame before it writes, so the buffer is untouched: drop the frame
+      // like a malformed trailer and re-fill the window around its sender.
+      malformed_dropped().inc();
+      top_up();
+      record_serve_health();
+      continue;
+    }
     obs::instant(Name::AsyncStaleness, s_.node_id, trace_round, staleness);
     async_staleness_hist().observe(staleness);
-    const auto admission = buffer.offer(frame, staleness);
     if (admission == serve::StalenessBuffer::Admission::Accepted) {
       sums.add(up->metrics);
     } else {
@@ -779,6 +809,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
       for (std::size_t i = 0; i < mean.size(); ++i)
         state.global[i].add_scaled_(mean[i], 1.0f);
       const std::uint64_t nv = version.fetch_add(1, std::memory_order_relaxed) + 1;
+      encode_invite();
       // New aggregation window: a fresh invitation sample over the current
       // alive set.
       sample = sampler.sample(nv, registry.alive(), s_.serve.fraction);
@@ -885,8 +916,7 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       inner.send_bytes(0, kServeUpdate, msg);
       continue;
     }
-    const tensor::Bytes packed(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                               frame.end());
+    const auto packed = tensor::ConstByteSpan(frame).subspan(off);
     ScopedSpan decode_span(Name::Decode, s_.node_id, round, packed.size());
     const auto global = unpack_tensors(packed);
     decode_span.end();
@@ -994,14 +1024,20 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     return s;
   };
 
+  // Global payload frame: the root re-encodes into it each round, keeping
+  // its capacity; the other leaders receive into it.
+  tensor::Bytes gbytes;
+
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     const auto t0 = Clock::now();
     const auto sent_before = inner.stats().bytes_sent + outer.stats().bytes_sent;
     const auto recv_before = inner.stats().bytes_received + outer.stats().bytes_received;
     // Global payload: root → leaders → group members.
-    tensor::Bytes gbytes;
-    if (is_root) gbytes = pack_tensors(state.global);
+    if (is_root) {
+      gbytes.clear();
+      pack_tensors_into(state.global, gbytes);
+    }
     {
       ScopedSpan span(Name::Broadcast, s_.node_id, round);
       outer.broadcast_bytes(gbytes, 0);

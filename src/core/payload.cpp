@@ -226,19 +226,18 @@ void StreamingSum::reset() {
 
 void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
                                  std::size_t total) {
-  if (!init_) {
-    shapes_ = shapes;
-    total_ = total;
-    acc_ = pool_->acquire_floats(total_);
-    std::fill(acc_->begin(), acc_->end(), 0.0f);
-    peak_bytes_ = std::max(peak_bytes_, total_ * sizeof(float));
-    init_ = true;
-    return;
-  }
-  OF_CHECK_MSG(shapes.size() == shapes_.size() && total == total_,
-               "payload structure mismatch");
+  if (init_) return;
+  shapes_ = shapes;
+  total_ = total;
+  acc_ = pool_->acquire_floats(total_);
+  std::fill(acc_->begin(), acc_->end(), 0.0f);
+  peak_bytes_ = std::max(peak_bytes_, total_ * sizeof(float));
+  init_ = true;
 }
 
+// Every check on the frame runs before the first write to the sum, so a
+// frame that throws leaves it exactly as it was — a garbage first frame
+// cannot fix the structure that later, valid frames are checked against.
 void StreamingSum::add_update_frame(ConstByteSpan frame, double weight) {
   std::size_t off = 0;
   const auto mode = tensor::read_pod<std::uint8_t>(frame, off);
@@ -247,15 +246,18 @@ void StreamingSum::add_update_frame(ConstByteSpan frame, double weight) {
                "collect-then-mean path");
   const auto shapes = read_manifest(frame, off);
   const std::size_t total = manifest_numel(shapes);
-  ensure_shapes(shapes, total);
+  OF_CHECK_MSG(!init_ || (shapes.size() == shapes_.size() && total == total_),
+               "payload structure mismatch");
   if (plain_mode(mode)) {
     OF_CHECK_MSG(frame.size() - off == total * plain_elem_size(mode),
                  "trailing bytes in plain payload");
+    ensure_shapes(shapes, total);
     accum_plain_bytes(mode, frame.subspan(off), weight, FloatSpan(*acc_));
     return;
   }
   FramePool::FloatHandle scratch = pool_->acquire_floats(total);
   decode_body_into(frame, off, mode, total, decompressor_, FloatSpan(*scratch));
+  ensure_shapes(shapes, total);
   simd::accum_weighted(acc_->data(), scratch->data(), static_cast<float>(weight), total);
   peak_bytes_ = std::max(peak_bytes_, 2 * total * sizeof(float));
 }
@@ -347,6 +349,10 @@ PayloadConfig PayloadConfig::from_config(const config::ConfigNode& node, bool st
   return refl::from_node<PayloadConfig>(node, "payload", {}, strict);
 }
 
+void pack_tensors_into(const std::vector<Tensor>& ts, Bytes& out) {
+  tensor::serialize_tensors(ts, out);
+}
+
 Bytes pack_tensors(const std::vector<Tensor>& ts) { return tensor::serialize_tensors(ts); }
 
 Bytes encode_skip_update() { return Bytes{kSkip}; }
@@ -355,7 +361,7 @@ bool is_skip_update(ConstByteSpan frame) {
   return frame.size() == 1 && frame[0] == kSkip;
 }
 
-std::vector<Tensor> unpack_tensors(const Bytes& b) { return tensor::deserialize_tensors(b); }
+std::vector<Tensor> unpack_tensors(ConstByteSpan b) { return tensor::deserialize_tensors(b); }
 
 void append_up_trailer(Bytes& frame, UpKind kind, const UpMetrics& m) {
   tensor::append_pod<float>(frame, m.loss_sum);

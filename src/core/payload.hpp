@@ -166,6 +166,7 @@ class StreamingSum {
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
  private:
+  // First accepted frame: fix the structure and zero the accumulator.
   void ensure_shapes(const std::vector<tensor::Shape>& shapes, std::size_t total);
   void add_update_frame(ConstByteSpan frame, double weight);
 
@@ -180,8 +181,12 @@ class StreamingSum {
 };
 
 // Pack/unpack a tensor list without plugins (global-payload broadcast).
+// `pack_tensors_into` appends the frame to `out` after one exact reserve:
+// hubs clear and refill one node-owned buffer per model version, so the
+// model frame keeps its capacity across rounds (DESIGN.md §6).
+void pack_tensors_into(const std::vector<Tensor>& ts, Bytes& out);
 Bytes pack_tensors(const std::vector<Tensor>& ts);
-std::vector<Tensor> unpack_tensors(const Bytes& b);
+std::vector<Tensor> unpack_tensors(ConstByteSpan b);
 
 // --- star up-frame (DESIGN.md §4) -----------------------------------------------
 //

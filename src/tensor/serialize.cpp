@@ -77,10 +77,18 @@ Tensor deserialize_tensor(ConstByteSpan buf) {
   return t;
 }
 
-Bytes serialize_tensors(const std::vector<Tensor>& ts) {
-  Bytes out;
+void serialize_tensors(const std::vector<Tensor>& ts, Bytes& out) {
+  std::size_t bytes = sizeof(std::uint32_t);
+  for (const auto& t : ts)
+    bytes += sizeof(std::uint32_t) + sizeof(std::uint64_t) * t.ndim() + sizeof(float) * t.numel();
+  out.reserve(out.size() + bytes);
   append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(ts.size()));
   for (const auto& t : ts) serialize_tensor(t, out);
+}
+
+Bytes serialize_tensors(const std::vector<Tensor>& ts) {
+  Bytes out;
+  serialize_tensors(ts, out);
   return out;
 }
 

@@ -13,6 +13,7 @@
 
 #include "comm/star.hpp"
 #include "comm/tcp.hpp"
+#include "compression/quantize.hpp"
 #include "net_util.hpp"
 #include "core/frame_pool.hpp"
 #include "core/payload.hpp"
@@ -66,6 +67,42 @@ TEST(StreamingSum, SkipFramesDoNotCount) {
   EXPECT_EQ(sum.count(), 1u);
   const auto mean = sum.finish_mean();
   EXPECT_EQ(mean[0][0], 4.0f);
+}
+
+TEST(StreamingSum, RejectedFrameLeavesTheSumUntouched) {
+  // A frame whose manifest parses but whose body does not must throw before
+  // it writes anything: as the *first* frame it must not fix the structure
+  // that the valid frames after it are checked against. Both fold paths:
+  // plain (body length check) and compressed (codec length check).
+  const std::vector<Tensor> other{Tensor::full({5}, 1.0f)};  // wrong structure
+  for (const bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "qsgd" : "plain");
+    of::compression::QSGD codec(8, /*seed=*/3);
+    of::compression::Compressor* c = compressed ? &codec : nullptr;
+    const of::core::PayloadPlugins plugins{c, nullptr};
+    Bytes garbage = encode_update(other, 1.0, plugins, 0, 1);
+    garbage.pop_back();  // valid manifest, short body
+
+    FramePool pool;
+    StreamingSum clean(pool, c), dirty(pool, c);
+    EXPECT_THROW(dirty.add(garbage), std::runtime_error);
+    EXPECT_EQ(dirty.count(), 0u);
+    EXPECT_EQ(dirty.peak_bytes(), 0u);
+    for (int id = 0; id < 3; ++id) {
+      const Bytes f = encode_update(client_payload(id), 1.0, plugins, id, 3);
+      clean.add(f);
+      dirty.add(f);
+      if (id == 0) {
+        EXPECT_THROW(dirty.add(garbage), std::runtime_error);
+      }
+    }
+    EXPECT_EQ(dirty.count(), 3u);
+    const auto a = clean.finish_mean();
+    const auto b = dirty.finish_mean();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t t = 0; t < a.size(); ++t)
+      for (std::size_t i = 0; i < a[t].numel(); ++i) EXPECT_EQ(a[t][i], b[t][i]);
+  }
 }
 
 TEST(StreamingSum, PartialFramesComposeAcrossTiers) {

@@ -4,6 +4,7 @@
 // FramePool the zero-copy pipeline rides on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "compression/sparsify.hpp"
 #include "core/frame_pool.hpp"
 #include "core/payload.hpp"
+#include "nn/zoo.hpp"
 #include "privacy/dp.hpp"
 #include "privacy/mechanism.hpp"
 #include "tensor/serialize.hpp"
@@ -249,6 +251,66 @@ TEST(PayloadMalformed, HostileSerializedTensorRejected) {
   of::tensor::append_pod<std::uint32_t>(b2, 1);  // ndim
   of::tensor::append_pod<std::uint64_t>(b2, std::uint64_t{1} << 50);
   EXPECT_THROW((void)of::core::unpack_tensors(b2), std::runtime_error);
+}
+
+// --- model frame (global broadcast) ---------------------------------------------
+
+// The tensor-list wire format written out field by field, independent of the
+// encoder under test: u32 count | per tensor u32 ndim | u64 dims | f32 data.
+Bytes reference_model_frame(const std::vector<Tensor>& ts) {
+  Bytes out;
+  of::tensor::append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(ts.size()));
+  for (const auto& t : ts) {
+    of::tensor::append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(t.ndim()));
+    for (std::size_t d : t.shape()) of::tensor::append_pod<std::uint64_t>(out, d);
+    for (std::size_t i = 0; i < t.numel(); ++i) of::tensor::append_pod<float>(out, t[i]);
+  }
+  return out;
+}
+
+std::vector<Tensor> vgg11_mini_params() {
+  return of::nn::zoo::make_model("vgg11_mini", 16, 4, 1).parameter_values();
+}
+
+TEST(ModelFrame, PackIntoMatchesTheReferenceBytes) {
+  Rng rng(5);
+  const std::vector<std::vector<Tensor>> lists{
+      vgg11_mini_params(),
+      {Tensor::randn({3}, rng), Tensor({0}), Tensor({2, 0}), Tensor::randn({2, 2}, rng)},
+      {}};
+  for (const auto& ts : lists) {
+    const Bytes ref = reference_model_frame(ts);
+    EXPECT_TRUE(of::core::pack_tensors(ts) == ref);
+    EXPECT_TRUE(of::tensor::serialize_tensors(ts) == ref);
+    // Appends after whatever the buffer already holds, with one exact reserve.
+    Bytes out{0xAB};
+    of::core::pack_tensors_into(ts, out);
+    ASSERT_EQ(out.size(), 1 + ref.size());
+    EXPECT_EQ(out.capacity(), out.size());
+    EXPECT_EQ(out[0], 0xAB);
+    EXPECT_TRUE(std::equal(ref.begin(), ref.end(), out.begin() + 1));
+    expect_equal(of::core::unpack_tensors(ConstByteSpan(out).subspan(1)), ts);
+  }
+}
+
+TEST(ModelFrame, ReusedBufferKeepsItsCapacityAndLeavesNoStaleTail) {
+  const auto big = vgg11_mini_params();
+  Rng rng(9);
+  const std::vector<Tensor> small{Tensor::randn({4, 3}, rng), Tensor({0})};
+  Bytes frame;
+  of::core::pack_tensors_into(big, frame);
+  const auto* base = frame.data();
+  const std::size_t cap = frame.capacity();
+  frame.clear();
+  of::core::pack_tensors_into(small, frame);
+  EXPECT_TRUE(frame == of::core::pack_tensors(small));
+  expect_equal(of::core::unpack_tensors(frame), small);
+  frame.clear();
+  of::core::pack_tensors_into(big, frame);
+  EXPECT_TRUE(frame == of::core::pack_tensors(big));
+  // Same storage throughout: a version re-encode allocates nothing.
+  EXPECT_EQ(frame.data(), base);
+  EXPECT_EQ(frame.capacity(), cap);
 }
 
 // --- weight scaling precision ---------------------------------------------------

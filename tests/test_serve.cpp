@@ -405,51 +405,40 @@ TEST(EngineServe, SyncModeIsBitwiseIdenticalToNoServeGroup) {
   EXPECT_EQ(ra.to_metrics_csv(), rb.to_metrics_csv());
 }
 
-TEST(EngineServe, MalformedUpFrameIsDroppedAndTheClientReinvited) {
-  // One hand-driven client against the serve aggregator over InProc. Its
-  // first reply is not an up-frame; the coordinator counts and drops it,
-  // frees the invite slot and re-invites, and the run completes on the
-  // client's second, well-formed reply.
-  constexpr int kServeModel = 105;  // server → client frames
-  constexpr int kServeUpdate = 106;  // client → server up-frames
-  of::comm::InProcGroup group(2);
+// --- hand-driven client against the serve hub ------------------------------------
+//
+// The serve aggregator over InProc with rank 1 played by the test: the
+// client side of the protocol runs on its own thread and talks raw frames.
+constexpr int kServeModel = 105;   // server → client frames
+constexpr int kServeUpdate = 106;  // client → server up-frames
+constexpr std::uint8_t kDownInvite = 0;
+constexpr std::uint8_t kDownStop = 2;
+
+of::core::NodeSetup serve_hub_setup(of::comm::InProcGroup& group, std::size_t total_updates) {
   of::core::NodeSetup s;
   s.role = of::core::NodeRole::Aggregator;
   s.mode = "centralized";
   s.serve.enabled = true;
   s.serve.mode = of::serve::Mode::FedBuff;
-  s.serve.total_updates = 1;
+  s.serve.total_updates = total_updates;
   s.model = of::nn::zoo::make_model("mlp_tiny", 8, 2, 1);
   s.algorithm = of::algorithms::make_algorithm("FedAvg");
   s.algorithm_params = parse_yaml("lr: 0.1");
   s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
   s.inner_spec.group = &group;
   s.inner_spec.world = 2;
+  return s;
+}
 
-  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
-  const auto malformed0 = malformed.value();
+// Runs the hub on this thread and `client(comm)` as rank 1; rethrows
+// whichever side failed.
+template <typename Client>
+of::core::NodeReport run_serve_hub(of::core::NodeSetup s, of::comm::InProcGroup& group,
+                                   Client client) {
   std::exception_ptr client_error;
-  std::thread client([&] {
+  std::thread t([&] {
     try {
-      of::comm::Communicator& c = group.comm(1);
-      int invites = 0;
-      for (;;) {
-        const Bytes down = c.recv_bytes(0, kServeModel);
-        if (down.at(0) == 2) break;  // Stop
-        EXPECT_EQ(down.at(0), 0);    // Invite
-        if (invites++ == 0) {
-          c.send_bytes(0, kServeUpdate, Bytes{0x09});
-          continue;
-        }
-        auto delta = of::core::unpack_tensors(Bytes(down.begin() + 1, down.end()));
-        for (auto& t : delta) t.zero_();
-        Bytes up = encode_update(delta, 1.0, {}, 0, 1);
-        of::core::append_up_trailer(up, of::core::UpKind::Update, {3.0f, 2.0f});
-        c.send_bytes(0, kServeUpdate, up);
-      }
-      Bytes fin;
-      of::core::append_up_trailer(fin, of::core::UpKind::Final, {0.0f, 0.0f, 0.5f, 1.0f});
-      c.send_bytes(0, kServeUpdate, fin);
+      client(group.comm(1));
     } catch (...) {
       client_error = std::current_exception();
     }
@@ -461,14 +450,122 @@ TEST(EngineServe, MalformedUpFrameIsDroppedAndTheClientReinvited) {
   } catch (...) {
     hub_error = std::current_exception();
   }
-  client.join();
+  t.join();
   if (hub_error) std::rethrow_exception(hub_error);
   if (client_error) std::rethrow_exception(client_error);
+  return report;
+}
+
+// An Update up-frame carrying `value` in every coordinate of the invite's
+// model structure.
+Bytes filled_update(const Bytes& invite, float value, of::core::UpMetrics m) {
+  auto delta = of::core::unpack_tensors(of::tensor::ConstByteSpan(invite).subspan(1));
+  for (auto& t : delta) t.fill_(value);
+  Bytes up = encode_update(delta, 1.0, {}, 0, 1);
+  of::core::append_up_trailer(up, of::core::UpKind::Update, m);
+  return up;
+}
+
+void send_final(of::comm::Communicator& c) {
+  Bytes fin;
+  of::core::append_up_trailer(fin, of::core::UpKind::Final, {0.0f, 0.0f, 0.5f, 1.0f});
+  c.send_bytes(0, kServeUpdate, fin);
+}
+
+TEST(EngineServe, MalformedUpFrameIsDroppedAndTheClientReinvited) {
+  // The client's first reply is not an up-frame; the coordinator counts and
+  // drops it, frees the invite slot and re-invites, and the run completes on
+  // the client's second, well-formed reply.
+  of::comm::InProcGroup group(2);
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  const auto malformed0 = malformed.value();
+  const auto report = run_serve_hub(serve_hub_setup(group, 1), group, [](auto& c) {
+    int invites = 0;
+    for (;;) {
+      const Bytes down = c.recv_bytes(0, kServeModel);
+      if (down.at(0) == kDownStop) break;
+      EXPECT_EQ(down.at(0), kDownInvite);
+      if (invites++ == 0) {
+        c.send_bytes(0, kServeUpdate, Bytes{0x09});
+        continue;
+      }
+      c.send_bytes(0, kServeUpdate, filled_update(down, 0.0f, {3.0f, 2.0f}));
+    }
+    send_final(c);
+  });
 
   ASSERT_EQ(report.rounds.size(), 1u);
   EXPECT_DOUBLE_EQ(report.rounds[0].train_loss, 1.5);
   EXPECT_FLOAT_EQ(report.rounds[0].accuracy, 0.5f);
   EXPECT_EQ(malformed.value() - malformed0, 1u);
+}
+
+TEST(EngineServe, GarbageBodyUpdateIsDroppedAndTheRunFinishes) {
+  // A valid Update trailer over a body that does not decode: its manifest
+  // parses (one tensor of 3 elements, not the model's structure) but the
+  // body is 7 bytes short of it. The hub drops it like a malformed trailer
+  // — counted, sender re-invited — and the buffer is untouched, so the
+  // client's next, well-formed update is accepted and ends the run.
+  of::comm::InProcGroup group(2);
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  const auto malformed0 = malformed.value();
+  int invites = 0;
+  const auto report = run_serve_hub(serve_hub_setup(group, 1), group, [&](auto& c) {
+    for (;;) {
+      const Bytes down = c.recv_bytes(0, kServeModel);
+      if (down.at(0) == kDownStop) break;
+      if (invites++ == 0) {
+        Bytes garbage = encode_update({Tensor::full({3}, 1.0f)}, 1.0, {}, 0, 1);
+        garbage.resize(garbage.size() - 7);
+        of::core::append_up_trailer(garbage, of::core::UpKind::Update, {100.0f, 1.0f});
+        c.send_bytes(0, kServeUpdate, garbage);
+        continue;
+      }
+      c.send_bytes(0, kServeUpdate, filled_update(down, 0.0f, {3.0f, 2.0f}));
+    }
+    send_final(c);
+  });
+
+  EXPECT_EQ(malformed.value() - malformed0, 1u);
+  // One accepted update (total_updates = 1) took a second invite: the
+  // garbage one was not accepted, and its trailer metrics were not summed.
+  EXPECT_EQ(invites, 2);
+  ASSERT_EQ(report.rounds.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.rounds[0].train_loss, 1.5);
+}
+
+TEST(EngineServe, InviteFrameIsTheInviteKindThenThePackedModelOfItsVersion) {
+  // buffer_size 1, α = 0.5: each accepted update drains into a new version.
+  // The client checks every invite's bytes against an independently built
+  // global model: version 0 is the initial model; a 2.0-filled delta folds
+  // in with weight 0.5, so version 1 is version 0 + 1 in every coordinate.
+  of::comm::InProcGroup group(2);
+  auto setup = serve_hub_setup(group, 2);
+  setup.serve.alpha = 0.5;
+  auto reference = of::nn::zoo::make_model("mlp_tiny", 8, 2, 1);
+  std::vector<Tensor> global = of::algorithms::make_algorithm("FedAvg")->initial_global(reference);
+  auto& encodes = of::obs::Registry::global().counter("serve.model_encodes");
+  const auto encodes0 = encodes.value();
+  int invites = 0;
+  const auto report = run_serve_hub(std::move(setup), group, [&](auto& c) {
+    for (;;) {
+      const Bytes down = c.recv_bytes(0, kServeModel);
+      if (down.at(0) == kDownStop) break;
+      Bytes expected{kDownInvite};
+      const Bytes packed = of::core::pack_tensors(global);
+      expected.insert(expected.end(), packed.begin(), packed.end());
+      EXPECT_TRUE(down == expected) << "invite " << invites;
+      ++invites;
+      c.send_bytes(0, kServeUpdate, filled_update(down, 2.0f, {1.0f, 1.0f}));
+      for (auto& t : global)
+        for (std::size_t i = 0; i < t.numel(); ++i) t[i] += 1.0f;
+    }
+    send_final(c);
+  });
+  EXPECT_EQ(invites, 2);
+  EXPECT_TRUE(report.final_model == of::core::pack_tensors(global));
+  // Two drains: versions 0, 1 and 2 were each encoded exactly once.
+  EXPECT_EQ(encodes.value() - encodes0, 3u);
 }
 
 TEST(EngineServe, FedBuffGroupLearns) {
@@ -610,6 +707,39 @@ alpha: 0.6
   const RunResult b = run_once();
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   EXPECT_EQ(a.final_model_bytes.size(), b.final_model_bytes.size());
+}
+
+TEST(EngineServe, ModelIsEncodedOncePerVersion) {
+  // Fixed-seed fedbuff run: the hub packs the global model once at start and
+  // once per drain, never per invite. Every accepted update answered an
+  // invite, so accepted_total is a lower bound on invites sent.
+  ConfigNode cfg = serve_base_config();
+  cfg.set_path("algorithm.global_rounds", ConfigNode::integer(6));
+  cfg.set_path("serve", parse_yaml(R"(
+enabled: true
+mode: fedbuff
+fraction: 0.5
+buffer_size: 2
+alpha: 0.6
+)"));
+  cfg.set_path("obs", parse_yaml("enabled: true\ntelemetry: true\n"));
+  auto& encodes = of::obs::Registry::global().counter("serve.model_encodes");
+  const auto encodes0 = encodes.value();
+  Engine engine(cfg);
+  (void)engine.run();
+  const auto encoded = static_cast<double>(encodes.value() - encodes0);
+
+  const std::string json = of::obs::Fleet::global().json_text();
+  const auto serve_at = json.find("\"serve\":");
+  ASSERT_NE(serve_at, std::string::npos) << json;
+  const std::string serve_json = json.substr(serve_at);
+  const double drains = fleet_json_number(serve_json, "version");
+  const double accepted = fleet_json_number(serve_json, "accepted_total");
+  // 6 rounds x 4 clients = 24 accepted updates in 12 drains of 2.
+  EXPECT_EQ(accepted, 24.0);
+  EXPECT_EQ(drains, 12.0);
+  EXPECT_EQ(encoded, drains + 1.0);
+  EXPECT_LT(encoded, accepted);
 }
 
 }  // namespace
