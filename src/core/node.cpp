@@ -73,6 +73,21 @@ std::optional<UpMetrics> take_update(tensor::Bytes& frame, bool telemetry) {
   return std::nullopt;
 }
 
+// Fold one up-frame body into a hub's StreamingSum. A body that does not
+// decode throws before the sum is written, so the sum is untouched: the
+// frame is counted as malformed and its sender dropped for the round, the
+// serve hub's rule. Returns whether the body was folded.
+template <typename Fold>
+bool fold_or_drop(Fold&& fold) {
+  try {
+    fold();
+    return true;
+  } catch (const std::exception&) {
+    malformed_dropped().inc();
+    return false;
+  }
+}
+
 // Hub-side metric totals, summed in source-rank order. The centralized and
 // serve hubs accumulate in double; the combiner tree sums in float, and a
 // leader forwards its group's float sum upward in its own trailer.
@@ -241,10 +256,27 @@ void NodeRuntime::append_telemetry(tensor::Bytes& frame, comm::Communicator& inn
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) == 0)
     t.peak_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
-  if (s_.obs_wire_version >= 2)
-    t.serialize_tlv_to(frame);
-  else
-    t.serialize_to(frame);
+  t.serialize_tlv_to(frame);
+}
+
+void NodeRuntime::encode_client_update(const std::vector<tensor::Tensor>& payload,
+                                       privacy::PrivacyMechanism* privacy,
+                                       std::size_t round, tensor::Bytes& out) {
+  if (s_.compressor)
+    s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
+  ScopedSpan span(Name::Encode, s_.node_id, round);
+  try {
+    encode_update_into(payload, s_.weight_scale, {s_.compressor.get(), privacy},
+                       s_.cohort_index, s_.cohort_size, pool_, out, s_.wire_repr);
+  } catch (const NonFiniteUpdateError&) {
+    // Numeric admission rejected the update (NaN/Inf coordinate). Send a
+    // skip frame instead: the hub drops this client for the round exactly
+    // like a non-participant, rather than letting one poisoned coordinate
+    // spread through the aggregate.
+    obs::Registry::global().counter("payload.nonfinite_rejected").inc();
+    out = encode_skip_update();
+  }
+  span.set_arg(out.size());
 }
 
 void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
@@ -291,22 +323,7 @@ void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
       }
     }
   }
-  const PayloadPlugins plugins{s_.compressor.get(), s_.privacy.get()};
-  if (s_.compressor)
-    s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
-  ScopedSpan span(Name::Encode, s_.node_id, round);
-  try {
-    encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                       s_.cohort_size, pool_, frame_out, s_.wire_repr);
-  } catch (const NonFiniteUpdateError&) {
-    // Numeric admission rejected the update (NaN/Inf coordinate). Send a
-    // skip frame instead: the aggregator drops this client for the round
-    // exactly like a non-participant, rather than letting one poisoned
-    // coordinate spread through the aggregate.
-    obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-    frame_out = encode_skip_update();
-  }
-  span.set_arg(frame_out.size());
+  encode_client_update(payload, s_.privacy.get(), round, frame_out);
 }
 
 UpMetrics NodeRuntime::round_metrics(const algorithms::TrainStats& stats,
@@ -406,6 +423,12 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
   // The model frame is node-owned and keeps its capacity: each round
   // re-encodes into it without a fresh allocation (DESIGN.md §6).
   tensor::Bytes gbytes;
+  // The mean without privacy folds each body into one hub-owned sum as it
+  // is stripped; robust rules and privacy need every body at once and
+  // collect the frames instead.
+  const bool streaming =
+      s_.aggregation_rule == AggregationRule::Mean && s_.privacy == nullptr;
+  StreamingSum sum(pool_, s_.compressor.get());
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -432,32 +455,38 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
     const auto agg_t0 = Clock::now();
     ScopedSpan agg_span(Name::Aggregate, s_.node_id, round,
                         partial.participated.size());
-    // Strip each up-frame in place, in rank order, so the metric totals
-    // accumulate in the same order for any arrival order and thread count.
-    // A malformed frame drops its sender for the round.
+    // Strip and fold each up-frame in place, in rank order, so the model
+    // and the metric totals accumulate in the same order for any arrival
+    // order and thread count. A malformed frame, or (streaming) a body that
+    // does not decode, drops its sender for the round; its metrics are not
+    // summed.
     std::vector<tensor::Bytes> frames;
+    sum.reset();
     MetricSums<double> sums;
     double weight_sum = 0.0;
+    std::size_t participated = 0;
     int contributing = 0;
     for (const int p : partial.participated) {
       tensor::Bytes& f = partial.frames[static_cast<std::size_t>(p)];
       const auto m = take_update(f, telem_on_);
-      if (!m) {
+      if (!m || (streaming && !fold_or_drop([&] { sum.add(f); }))) {
         partial.dropped.push_back(p);
         continue;
       }
       sums.add(*m);
+      ++participated;
       if (!is_skip_update(f)) {
         ++contributing;
         const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
         if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
       }
-      frames.push_back(std::move(f));
+      if (!streaming) frames.push_back(std::move(f));
     }
     std::sort(partial.dropped.begin(), partial.dropped.end());
 
     if (contributing > 0) {
-      auto mean = s_.aggregation_rule == AggregationRule::Mean
+      auto mean = streaming ? sum.finish_mean()
+                  : s_.aggregation_rule == AggregationRule::Mean
                       ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
                       : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
                                        s_.aggregation_trim, &pool_);
@@ -485,14 +514,14 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
     rec.accuracy = sums.accuracy();
     rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
     rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    rec.participated = frames.size();
+    rec.participated = participated;
     rec.dropped_ranks = partial.dropped;
     rec.deadline_hit = partial.deadline_hit;
     rec.reconnects = inner.stats().reconnects;
     if (telem_on_) {
       obs::Fleet::RoundHealth h;
       h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(frames.size());
+      h.participated = static_cast<std::uint32_t>(participated);
       h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
       h.dropped = partial.dropped;
       h.deadline_hit = partial.deadline_hit;
@@ -520,6 +549,8 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     const auto t0 = Clock::now();
+    const auto sent_before = inner.stats().bytes_sent;
+    const auto recv_before = inner.stats().bytes_received;
     algorithms::TrainStats stats;
     ctx_.round = round;
     if (round == 0) algo.on_train_start(ctx_);
@@ -537,19 +568,7 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
     std::vector<tensor::Tensor> mean;
     if (s_.compressor) {
       // Sparse codecs exchange via all-gather (paper §3.4.2).
-      const PayloadPlugins plugins{s_.compressor.get(), nullptr};
-      s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        try {
-          encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                             s_.cohort_size, pool_, frame_buf_, s_.wire_repr);
-        } catch (const NonFiniteUpdateError&) {
-          obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-          frame_buf_ = encode_skip_update();
-        }
-        span.set_arg(frame_buf_.size());
-      }
+      encode_client_update(payload, nullptr, round, frame_buf_);
       ScopedSpan agg_span(Name::Aggregate, s_.node_id, round);
       const auto frames = inner.allgather_bytes(frame_buf_);
       mean = mean_updates(frames, s_.compressor.get(), nullptr, &pool_);
@@ -577,8 +596,8 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
       rec.seconds = seconds_since(t0);
       rec.train_loss = m[1] > 0 ? m[0] / m[1] : 0.0;
       rec.accuracy = m[3] > 0 ? m[2] / m[3] : -1.0f;
-      rec.bytes_down = 0;
-      rec.bytes_up = 0;
+      rec.bytes_down = inner.stats().bytes_sent - sent_before;
+      rec.bytes_up = inner.stats().bytes_received - recv_before;
       report.rounds.push_back(rec);
     }
   }
@@ -950,22 +969,9 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
         payload.push_back(std::move(d));
       }
     }
-    const PayloadPlugins plugins{s_.compressor.get(), nullptr};
-    if (s_.compressor)
-      s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
-    {
-      ScopedSpan span(Name::Encode, s_.node_id, round);
-      try {
-        encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                           s_.cohort_size, pool_, frame_buf_, s_.wire_repr);
-      } catch (const NonFiniteUpdateError&) {
-        // The buffer's StreamingSum ignores the skip marker, so a rejected
-        // update contributes nothing to the folded aggregate.
-        obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-        frame_buf_ = encode_skip_update();
-      }
-      span.set_arg(frame_buf_.size());
-    }
+    // The buffer's StreamingSum ignores a skip marker, so a rejected update
+    // contributes nothing to the folded aggregate.
+    encode_client_update(payload, nullptr, round, frame_buf_);
     append_up_trailer(frame_buf_, UpKind::Update,
                       {static_cast<float>(last_stats.loss_sum),
                        static_cast<float>(last_stats.steps)});
@@ -1013,7 +1019,8 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
   }
   const auto outer_opt = comm::star::wait_for_all(outer);  // combiners are never cut
   // Per-source-rank metrics of this round's up-frames; a rank that was cut
-  // or sent a malformed frame keeps zeros, which leave the float sums as-is.
+  // or sent a malformed frame or body keeps zeros, which leave the float
+  // sums as-is.
   std::vector<UpMetrics> group_up(static_cast<std::size_t>(inner.world_size()));
   std::vector<UpMetrics> outer_up(static_cast<std::size_t>(outer.world_size()));
   std::vector<tensor::Bytes> frames;        // privacy path: group frames by rank
@@ -1054,18 +1061,19 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     group_sum.reset();
     frames.assign(static_cast<std::size_t>(inner.world_size() - 1), {});
     comm::star::StreamingGather sg;
+    std::uint32_t group_malformed = 0;  // arrived, but dropped for the round
     {
       ScopedSpan span(Name::Recv, s_.node_id, round);
       sg = comm::star::gather_bytes_streaming(
           inner, {},
           [&](int src, tensor::Bytes&& frame) {
             const auto m = take_update(frame, telem_on_);
-            if (!m) return;
+            if (!m || (streaming && !fold_or_drop([&] { group_sum.add(frame); }))) {
+              ++group_malformed;
+              return;
+            }
             group_up[static_cast<std::size_t>(src)] = *m;
-            if (streaming)
-              group_sum.add(frame);
-            else
-              frames[static_cast<std::size_t>(src - 1)] = std::move(frame);
+            if (!streaming) frames[static_cast<std::size_t>(src - 1)] = std::move(frame);
           },
           group_opt);
     }
@@ -1073,9 +1081,9 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
       obs::Fleet::CombinerHealth ch;
       ch.group = s_.group;
       ch.round = static_cast<std::uint32_t>(round);
-      ch.participated = static_cast<std::uint32_t>(sg.participated.size());
+      ch.participated = static_cast<std::uint32_t>(sg.participated.size()) - group_malformed;
       ch.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      ch.dropped = static_cast<std::uint32_t>(sg.dropped.size());
+      ch.dropped = static_cast<std::uint32_t>(sg.dropped.size()) + group_malformed;
       ch.deadline_hit = sg.deadline_hit;
       ch.agg_peak_bytes = group_sum.peak_bytes();
       ch.seconds = seconds_since(t0);
@@ -1121,12 +1129,10 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
         outer, frame_buf_,
         [&](int src, tensor::Bytes&& frame) {
           const auto m = take_update(frame, false);
-          if (!m) return;
+          if (!m || (streaming && !fold_or_drop([&] { root_sum.add_partial(frame); })))
+            return;
           outer_up[static_cast<std::size_t>(src)] = *m;
-          if (streaming)
-            root_sum.add_partial(frame);
-          else
-            outer_frames[static_cast<std::size_t>(src)] = std::move(frame);
+          if (!streaming) outer_frames[static_cast<std::size_t>(src)] = std::move(frame);
         },
         outer_opt);
     outer_span.end();

@@ -133,9 +133,6 @@ struct NodeSetup {
   // centralized and async modes.
   bool obs_telemetry = false;
   std::size_t obs_clock_sync_every = 0;
-  // Wire format for the piggybacked summary: 2 = TLV (skip-unknown
-  // forward compatible), 1 = frozen fixed layout. Readers accept both.
-  int obs_wire_version = 2;
 
   std::uint64_t seed = 1;
 };
@@ -182,6 +179,13 @@ class NodeRuntime {
   // serve::ClientSampler identically on every node) sends a skip frame.
   void train_one_round(const std::vector<tensor::Tensor>& global, std::size_t round,
                        algorithms::TrainStats& stats_out, tensor::Bytes& frame_out);
+  // Encode this client's update into `out` (compressor stream keyed by
+  // round and cohort index) under the Encode span. Numeric admission turns
+  // a NaN/Inf update into a skip frame, counted in
+  // payload.nonfinite_rejected.
+  void encode_client_update(const std::vector<tensor::Tensor>& payload,
+                            privacy::PrivacyMechanism* privacy, std::size_t round,
+                            tensor::Bytes& out);
   // This round's metrics, evaluating the model on eval rounds.
   UpMetrics round_metrics(const algorithms::TrainStats& stats, std::size_t round);
   // The centralized gather policy: the fault spec's deadline and quorum in

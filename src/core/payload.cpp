@@ -44,7 +44,7 @@ void accum_plain_bytes(std::uint8_t mode, ConstByteSpan body, double alpha,
     tensor::add_scaled_from_bytes(body, alpha, acc);
 }
 
-// Magic opening a v2 TLV partial header ("OFP2" little-endian).
+// Magic opening a partial frame's TLV header ("OFP2" little-endian).
 constexpr std::uint32_t kPartialMagic = 0x3250464Fu;
 
 // Mirror of the comm layer's 1 GiB frame cap: no manifest may describe an
@@ -225,10 +225,11 @@ void StreamingSum::reset() {
 }
 
 void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
-                                 std::size_t total) {
+                                 std::size_t total, std::uint8_t mode) {
   if (init_) return;
   shapes_ = shapes;
   total_ = total;
+  mode_ = mode;
   acc_ = pool_->acquire_floats(total_);
   std::fill(acc_->begin(), acc_->end(), 0.0f);
   peak_bytes_ = std::max(peak_bytes_, total_ * sizeof(float));
@@ -238,27 +239,42 @@ void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
 // Every check on the frame runs before the first write to the sum, so a
 // frame that throws leaves it exactly as it was — a garbage first frame
 // cannot fix the structure that later, valid frames are checked against.
+// Each accumulate is one pool region over the coordinates: an element sees
+// the same single op whichever chunk holds it, in frame order, so the sum
+// is bitwise identical for any thread count.
 void StreamingSum::add_update_frame(ConstByteSpan frame, double weight) {
   std::size_t off = 0;
   const auto mode = tensor::read_pod<std::uint8_t>(frame, off);
   OF_CHECK_MSG(mode != kPrivacy,
                "privacy frames cannot stream into a partial sum — use the "
                "collect-then-mean path");
+  OF_CHECK_MSG(!init_ || mode == mode_, "mixed payload modes in one aggregation");
   const auto shapes = read_manifest(frame, off);
   const std::size_t total = manifest_numel(shapes);
   OF_CHECK_MSG(!init_ || (shapes.size() == shapes_.size() && total == total_),
                "payload structure mismatch");
   if (plain_mode(mode)) {
-    OF_CHECK_MSG(frame.size() - off == total * plain_elem_size(mode),
-                 "trailing bytes in plain payload");
-    ensure_shapes(shapes, total);
-    accum_plain_bytes(mode, frame.subspan(off), weight, FloatSpan(*acc_));
+    const std::size_t elem = plain_elem_size(mode);
+    OF_CHECK_MSG(frame.size() - off == total * elem, "trailing bytes in plain payload");
+    ensure_shapes(shapes, total, mode);
+    const ConstByteSpan body = frame.subspan(off);
+    const FloatSpan acc(*acc_);
+    exec::Pool::global().parallel_for(total, 1, [&](std::size_t lo, std::size_t hi) {
+      accum_plain_bytes(mode, body.subspan(lo * elem, (hi - lo) * elem), weight,
+                        acc.subspan(lo, hi - lo));
+    });
     return;
   }
+  // Codecs may keep internal scratch, so the decode stays on this thread.
   FramePool::FloatHandle scratch = pool_->acquire_floats(total);
   decode_body_into(frame, off, mode, total, decompressor_, FloatSpan(*scratch));
-  ensure_shapes(shapes, total);
-  simd::accum_weighted(acc_->data(), scratch->data(), static_cast<float>(weight), total);
+  ensure_shapes(shapes, total, mode);
+  float* a = acc_->data();
+  const float* d = scratch->data();
+  const float w = static_cast<float>(weight);
+  exec::Pool::global().parallel_for(total, 1, [&](std::size_t lo, std::size_t hi) {
+    simd::accum_weighted(a + lo, d + lo, w, hi - lo);
+  });
   peak_bytes_ = std::max(peak_bytes_, 2 * total * sizeof(float));
 }
 
@@ -270,21 +286,13 @@ void StreamingSum::add(ConstByteSpan frame, double weight) {
 
 void StreamingSum::add_partial(ConstByteSpan partial) {
   std::size_t off = 0;
+  OF_CHECK_MSG(tensor::read_pod<std::uint32_t>(partial, off) == kPartialMagic,
+               "partial frame without its \"OFP2\" header");
+  const auto hlen = tensor::read_pod<std::uint32_t>(partial, off);
+  OF_CHECK_MSG(off + hlen <= partial.size(), "partial header truncated");
   PartialHeader hdr;
-  // v2 partials open with the "OFP2" magic; the v1 form is a bare u64
-  // count, whose low word would only collide with the magic at an absurd
-  // ~845M-client contribution count.
-  if (partial.size() >= 8 &&
-      tensor::read_pod<std::uint32_t>(partial, off) == kPartialMagic) {
-    const auto hlen = tensor::read_pod<std::uint32_t>(partial, off);
-    OF_CHECK_MSG(off + hlen <= partial.size(), "partial header truncated");
-    OF_CHECK_MSG(refl::tlv::decode(hdr, partial.data() + off, hlen),
-                 "partial header malformed");
-    off += hlen;
-  } else {
-    off = 0;
-    hdr.count = tensor::read_pod<std::uint64_t>(partial, off);
-  }
+  OF_CHECK_MSG(refl::tlv::decode(hdr, partial.data() + off, hlen), "partial header malformed");
+  off += hlen;
   if (hdr.count == 0) return;  // empty combiner: its body is a skip marker
   add_update_frame(partial.subspan(off), 1.0);
   count_ += static_cast<std::size_t>(hdr.count);
@@ -561,85 +569,32 @@ std::vector<Tensor> mean_updates(const std::vector<Bytes>& raw_frames,
     if (!is_skip_update(f)) frames.push_back(f);
   OF_CHECK_MSG(!frames.empty(), "no client updates to aggregate (all skipped?)");
 
-  // Peek the first frame's mode + manifest.
   std::size_t off0 = 0;
-  const auto mode = tensor::read_pod<std::uint8_t>(frames[0], off0);
+  if (tensor::read_pod<std::uint8_t>(frames[0], off0) != kPrivacy) {
+    // Plain / compressed: the one streaming accumulator, in frame order.
+    StreamingSum sum(p, decompressor);
+    for (const ConstByteSpan f : frames) sum.add(f);
+    return sum.finish_mean();
+  }
+
+  OF_CHECK_MSG(privacy != nullptr, "privacy payload but no mechanism configured");
   const auto shapes = read_manifest(frames[0], off0);
   const std::size_t total = manifest_numel(shapes);
-  const float inv_k = 1.0f / static_cast<float>(frames.size());
-
-  if (mode == kPrivacy) {
-    OF_CHECK_MSG(privacy != nullptr, "privacy payload but no mechanism configured");
-    std::vector<ConstByteSpan> bodies;
-    bodies.reserve(frames.size());
-    for (const auto& f : frames) {
-      std::size_t off = 0;
-      const auto m = tensor::read_pod<std::uint8_t>(f, off);
-      OF_CHECK_MSG(m == kPrivacy, "mixed payload modes in one aggregation");
-      (void)read_manifest(f, off);
-      const auto len = tensor::read_pod<std::uint64_t>(f, off);
-      OF_CHECK_MSG(off + len == f.size(), "privacy payload length mismatch");
-      bodies.push_back(f.subspan(off));
-    }
-    FramePool::FloatHandle sum = p.acquire_floats(total);
-    privacy->aggregate_sum(bodies, FloatSpan(*sum));
-    simd::scale(sum->data(), inv_k, total);
-    return split_flat(ConstFloatSpan(*sum), shapes);
-  }
-
-  // Plain / compressed: accumulate every frame's body into one pooled flat
-  // accumulator, then split into the tensor-list structure once. Validate
-  // every frame's manifest up front so both execution paths below start
-  // from the same per-frame body offsets.
-  std::vector<std::size_t> body_off(frames.size());
-  for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const ConstByteSpan f = frames[fi];
+  std::vector<ConstByteSpan> bodies;
+  bodies.reserve(frames.size());
+  for (const auto& f : frames) {
     std::size_t off = 0;
     const auto m = tensor::read_pod<std::uint8_t>(f, off);
-    OF_CHECK_MSG(m == mode, "mixed payload modes in one aggregation");
-    const auto frame_shapes = read_manifest(f, off);
-    OF_CHECK_MSG(frame_shapes.size() == shapes.size() &&
-                     manifest_numel(frame_shapes) == total,
-                 "payload structure mismatch");
-    if (plain_mode(m))
-      OF_CHECK_MSG(f.size() - off == total * plain_elem_size(m),
-                   "trailing bytes in plain payload");
-    body_off[fi] = off;
+    OF_CHECK_MSG(m == kPrivacy, "mixed payload modes in one aggregation");
+    (void)read_manifest(f, off);
+    const auto len = tensor::read_pod<std::uint64_t>(f, off);
+    OF_CHECK_MSG(off + len == f.size(), "privacy payload length mismatch");
+    bodies.push_back(f.subspan(off));
   }
-
-  FramePool::FloatHandle acc = p.acquire_floats(total);
-  std::fill(acc->begin(), acc->end(), 0.0f);
-
-  const std::size_t elem = plain_elem_size(mode);
-  if (plain_mode(mode)) {
-    // Shard coordinates across the pool; each shard walks the frames in
-    // arrival order, so every element sees the exact serial accumulation
-    // order and the mean is bitwise identical for any thread count.
-    exec::Pool::global().parallel_for(total, frames.size(), [&](std::size_t lo, std::size_t hi) {
-      FloatSpan dst = FloatSpan(*acc).subspan(lo, hi - lo);
-      for (std::size_t fi = 0; fi < frames.size(); ++fi)
-        accum_plain_bytes(mode,
-                          frames[fi].subspan(body_off[fi] + lo * elem,
-                                             (hi - lo) * elem),
-                          1.0, dst);
-    });
-  } else {
-    // Codecs may keep internal scratch, so decoding stays on this thread,
-    // one frame at a time into one pooled buffer; only the elementwise
-    // accumulation is sharded, in the serial per-element frame order.
-    FramePool::FloatHandle scratch = p.acquire_floats(total);
-    float* a = acc->data();
-    const float* d = scratch->data();
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      decode_body_into(frames[fi], body_off[fi], mode, total, decompressor,
-                       FloatSpan(*scratch));
-      exec::Pool::global().parallel_for(total, 1, [&](std::size_t lo, std::size_t hi) {
-        simd::add(a + lo, d + lo, hi - lo);
-      });
-    }
-  }
-  simd::scale(acc->data(), inv_k, total);
-  return split_flat(ConstFloatSpan(*acc), shapes);
+  FramePool::FloatHandle sum = p.acquire_floats(total);
+  privacy->aggregate_sum(bodies, FloatSpan(*sum));
+  simd::scale(sum->data(), 1.0f / static_cast<float>(frames.size()), total);
+  return split_flat(ConstFloatSpan(*sum), shapes);
 }
 
 }  // namespace of::core

@@ -91,9 +91,11 @@ bool is_skip_update(ConstByteSpan frame);
 
 // Aggregator side: decode frames (all clients, same plugin config) and
 // return their uniform mean in the original tensor-list structure.
-// `decompressor` is the aggregator-side codec instance (stateless decode).
-// With a pool, the flat accumulator and decode scratch come from it and the
-// aggregation runs allocation-free at steady state.
+// Plain/compressed frames fold through one StreamingSum in frame order;
+// privacy frames, meaningful only in aggregate, go to the mechanism's
+// aggregate_sum. `decompressor` is the aggregator-side codec instance
+// (stateless decode). With a pool, the flat accumulator and decode scratch
+// come from it and the aggregation runs allocation-free at steady state.
 std::vector<Tensor> mean_updates(const std::vector<Bytes>& frames,
                                  compression::Compressor* decompressor,
                                  privacy::PrivacyMechanism* privacy,
@@ -117,9 +119,8 @@ std::vector<Tensor> robust_combine(const std::vector<Bytes>& frames,
                                    FramePool* pool = nullptr);
 
 // Header of a combiner partial frame (the metadata ahead of the summed
-// update body). v2 frames carry it as TLV behind an "OFP2" magic so new
-// header fields are skipped by older decoders; v1 frames are a bare
-// u64 count (still accepted). Tags are wire ABI — append only.
+// update body), carried as TLV behind an "OFP2" magic so new header fields
+// are skipped by older decoders. Tags are wire ABI — append only.
 struct PartialHeader {
   std::uint64_t count = 0;  // client contributions folded into the body
   // Wire repr of a *plain* body (mode 0/4); compressed bodies keep F32 here
@@ -128,13 +129,16 @@ struct PartialHeader {
   WireRepr repr = WireRepr::F32;
 };
 
-// Streaming partial-sum accumulator — the combiner tier's aggregation state
-// (DESIGN.md §10). Frames are folded into one pooled flat accumulator as
-// they arrive, so a combiner holds O(model) bytes no matter how many clients
-// feed it; only the partial sum (plus its contribution count) is forwarded
-// upward. Privacy frames are rejected: secure aggregation needs every masked
-// body at once, so hierarchical setups with privacy fall back to
-// collect-then-mean.
+// Streaming partial-sum accumulator — the one plain/compressed mean path
+// (DESIGN.md §6, §10): the centralized hub, the combiner tier, the serve
+// buffer and mean_updates all fold through it. Frames are folded into one
+// pooled flat accumulator as they arrive, so a combiner holds O(model)
+// bytes no matter how many clients feed it; only the partial sum (plus its
+// contribution count) is forwarded upward. A frame that throws (bad
+// structure, a mode other than the first frame's, an undecodable body)
+// leaves the sum untouched, so a hub can drop its sender and keep going.
+// Privacy frames are rejected: secure aggregation needs every masked body
+// at once, so setups with privacy fall back to collect-then-mean.
 class StreamingSum {
  public:
   explicit StreamingSum(FramePool& pool,
@@ -147,13 +151,14 @@ class StreamingSum {
   // serve tier's staleness weight α/(1+s). The default 1.0 is the exact
   // unweighted fold (multiplying by 1.0 is an IEEE identity).
   void add(ConstByteSpan frame, double weight = 1.0);
-  // Fold in a downstream combiner's partial produced by encode_partial_into.
+  // Fold in a downstream combiner's partial produced by encode_partial_into;
+  // a frame without the "OFP2" header throws.
   void add_partial(ConstByteSpan partial);
   // Emit `scale × sum` plus the header as a partial frame:
   //   u32 "OFP2" | u32 header_len | TLV(PartialHeader) | update frame
-  // (skip marker body when count == 0). add_partial also accepts the v1
-  // form `u64 count | update frame`. With repr == F16 (and no compressor)
-  // the body is a plain-f16 frame, announced via the header's repr field.
+  // (skip marker body when count == 0). With repr == F16 (and no
+  // compressor) the body is a plain-f16 frame, announced via the header's
+  // repr field.
   void encode_partial_into(double scale, compression::Compressor* compressor,
                            Bytes& out, WireRepr repr = WireRepr::F32);
   // sum / count in the original tensor-list structure. Consumes the
@@ -166,8 +171,9 @@ class StreamingSum {
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
  private:
-  // First accepted frame: fix the structure and zero the accumulator.
-  void ensure_shapes(const std::vector<tensor::Shape>& shapes, std::size_t total);
+  // First accepted frame: fix the structure and mode, zero the accumulator.
+  void ensure_shapes(const std::vector<tensor::Shape>& shapes, std::size_t total,
+                     std::uint8_t mode);
   void add_update_frame(ConstByteSpan frame, double weight);
 
   FramePool* pool_;
@@ -177,6 +183,7 @@ class StreamingSum {
   std::size_t total_ = 0;
   std::size_t count_ = 0;
   std::size_t peak_bytes_ = 0;
+  std::uint8_t mode_ = 0;  // the first accepted frame's mode byte
   bool init_ = false;
 };
 

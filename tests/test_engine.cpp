@@ -53,15 +53,18 @@ TEST(Engine, CentralizedFedAvgLearns) {
 TEST(Engine, PerRoundBytesSumToRootCommTotals) {
   // RoundRecord::bytes_up/bytes_down are "this round" at the root: summed
   // over the run they must equal the root's CommStats totals, in the
-  // centralized and the hierarchical topology alike.
-  for (const bool hierarchical : {false, true}) {
+  // centralized, hierarchical and ring topologies alike.
+  for (const std::string topology :
+       {"CentralizedTopology", "HierarchicalTopology", "RingTopology"}) {
     ConfigNode cfg = base_config();
-    if (hierarchical) {
-      cfg.set_path("topology._target_", ConfigNode::string("HierarchicalTopology"));
+    cfg.set_path("topology._target_", ConfigNode::string(topology));
+    if (topology == "HierarchicalTopology") {
       cfg.set_path("topology.groups", ConfigNode::integer(2));
       cfg.set_path("topology.group_size", ConfigNode::integer(2));
       cfg.set_path("topology.outer_comm._target_",
                    ConfigNode::string("TorchDistCommunicator"));
+    } else if (topology == "RingTopology") {
+      cfg.set_path("topology.num_nodes", ConfigNode::integer(4));
     }
     const RunResult r = Engine(cfg).run();
     ASSERT_EQ(r.rounds.size(), 3u);
@@ -71,8 +74,8 @@ TEST(Engine, PerRoundBytesSumToRootCommTotals) {
       up += rec.bytes_up;
       down += rec.bytes_down;
     }
-    EXPECT_EQ(up, r.root_comm.bytes_received) << "hierarchical=" << hierarchical;
-    EXPECT_EQ(down, r.root_comm.bytes_sent) << "hierarchical=" << hierarchical;
+    EXPECT_EQ(up, r.root_comm.bytes_received) << topology;
+    EXPECT_EQ(down, r.root_comm.bytes_sent) << topology;
   }
 }
 

@@ -232,9 +232,10 @@ TEST(ExecPool, TensorKernelsBitwiseIdenticalAcrossThreadCounts) {
       // stays inline.
       {"cnn_mini 4x4 batch 16", [] { return model_step("cnn_mini", 16, 16); }, 0},
       {"cnn_mini 28x28 batch 32", [] { return model_step("cnn_mini", 784, 32); }, 4},
+      // mean_updates folds through StreamingSum: each frame's accumulate is
+      // one region, plain or compressed (decoded one frame at a time).
       {"mean_updates plain 31k", [] { return mean_of_three(31'000, false); }, 0},
-      {"mean_updates plain 2^18", [] { return mean_of_three(1 << 18, false); }, 1},
-      // Compressed frames decode one at a time; each accumulate is a region.
+      {"mean_updates plain 2^19", [] { return mean_of_three(1 << 19, false); }, 3},
       {"mean_updates qsgd 31k", [] { return mean_of_three(31'000, true); }, 0},
       {"mean_updates qsgd 2^19", [] { return mean_of_three(1 << 19, true); }, 3},
   };

@@ -290,48 +290,89 @@ TEST(PartialGather, DeadPeersFailTheQuorumAtOnce) {
 
 // --- the star aggregator against hand-driven clients -------------------------------
 
-TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
-  // Three hand-driven clients over InProc. In round 0 client 2 sends a
-  // well-formed frame of the wrong kind and client 3 a frame shorter than
-  // the up-frame trailer; both are dropped for that round and counted, and
-  // client 1 alone is aggregated. Round 1 is clean.
-  constexpr int kWorld = 4;
-  constexpr std::size_t kRounds = 2;
-  InProcGroup group(kWorld);
+// Client r's up-frame for `round`, built from the global model it received.
+using FrameFn = std::function<Bytes(int r, std::size_t round, const Bytes& global)>;
+
+// A hub run against hand-driven clients: the hub's report, and the global
+// model client 1 received each round.
+struct HubRun {
+  of::core::NodeReport report;
+  std::vector<Bytes> globals;
+};
+
+of::core::NodeSetup hub_setup(const std::string& mode, std::size_t rounds, int clients) {
   of::core::NodeSetup s;
   s.role = of::core::NodeRole::Aggregator;
-  s.mode = "centralized";
-  s.global_rounds = kRounds;
-  s.cohort_size = kWorld - 1;
+  s.mode = mode;
+  s.global_rounds = rounds;
+  s.cohort_size = clients;
   s.model = of::nn::zoo::make_model("mlp_tiny", 8, 2, 1);
   s.algorithm = of::algorithms::make_algorithm("FedAvg");
   s.algorithm_params = parse_yaml("lr: 0.1");
-  s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
-  s.inner_spec.group = &group;
-  s.inner_spec.world = kWorld;
+  return s;
+}
 
-  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
-  const auto malformed0 = malformed.value();
-  of::core::NodeReport report;
-  run_group(group, [&](int r, Communicator& c) {
+// Drive hand clients 1.. of `inner` against `hub`, which runs as rank 0.
+void drive_clients(InProcGroup& inner, of::core::NodeSetup& hub, std::size_t rounds,
+                   const FrameFn& frame_for, HubRun& out) {
+  run_group(inner, [&](int r, Communicator& c) {
     if (r == 0) {
-      report = of::core::NodeRuntime(std::move(s)).run();
+      out.report = of::core::NodeRuntime(std::move(hub)).run();
       return;
     }
     const auto opt = star::wait_for_all(c);
-    for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t round = 0; round < rounds; ++round) {
       Bytes global;
       c.broadcast_bytes(global, 0);
-      Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 1.0, {},
-                                            r - 1, kWorld - 1);
-      auto kind = of::core::UpKind::Update;
-      if (round == 0 && r == 2) kind = of::core::UpKind::Join;
-      of::core::append_up_trailer(frame, kind, {2.0f * static_cast<float>(r), 1.0f});
-      if (round == 0 && r == 3) frame = Bytes{0xde, 0xad};
-      (void)star::gather_bytes_partial(c, frame, opt);
+      if (r == 1) out.globals.push_back(global);
+      (void)star::gather_bytes_partial(c, frame_for(r, round, global), opt);
     }
   });
+}
 
+HubRun run_star_hub(int world, std::size_t rounds, const FrameFn& frame_for) {
+  InProcGroup group(world);
+  of::core::NodeSetup s = hub_setup("centralized", rounds, world - 1);
+  s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
+  s.inner_spec.group = &group;
+  s.inner_spec.world = world;
+  HubRun out;
+  drive_clients(group, s, rounds, frame_for, out);
+  return out;
+}
+
+// An update from client r: the received model scaled by r/2, so every
+// client's contribution differs and the fold order shows in the bits.
+Bytes scaled_update(int r, const Bytes& global) {
+  return of::core::encode_update(of::core::unpack_tensors(global), 0.5 * r, {}, r - 1, 3);
+}
+
+// A valid Update trailer over a body 7 bytes short of its manifest.
+void truncate_body(Bytes& frame) { frame.resize(frame.size() - 7); }
+
+TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
+  // Hand-driven clients over InProc. In round 0 client 2 sends a
+  // well-formed frame of the wrong kind and client 3 a frame shorter than
+  // the up-frame trailer; both are dropped for that round and counted, and
+  // client 1 alone is aggregated. Round 1 is clean. A fourth client whose
+  // every frame is a valid Update trailer over a truncated body is dropped
+  // and counted each round, its loss is not summed, and every model the
+  // hub sends is bitwise the one from the run without it.
+  constexpr std::size_t kRounds = 2;
+  const FrameFn frame_for = [](int r, std::size_t round, const Bytes& global) {
+    Bytes frame = scaled_update(r, global);
+    if (r == 4) truncate_body(frame);
+    auto kind = of::core::UpKind::Update;
+    if (round == 0 && r == 2) kind = of::core::UpKind::Join;
+    of::core::append_up_trailer(frame, kind, {2.0f * static_cast<float>(r), 1.0f});
+    if (round == 0 && r == 3) frame = Bytes{0xde, 0xad};
+    return frame;
+  };
+
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  auto malformed0 = malformed.value();
+  const HubRun clean = run_star_hub(4, kRounds, frame_for);
+  const auto& report = clean.report;
   ASSERT_EQ(report.rounds.size(), kRounds);
   EXPECT_EQ(report.rounds[0].participated, 1u);
   EXPECT_EQ(report.rounds[0].dropped_ranks, (std::vector<int>{2, 3}));
@@ -340,6 +381,106 @@ TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
   EXPECT_TRUE(report.rounds[1].dropped_ranks.empty());
   EXPECT_DOUBLE_EQ(report.rounds[1].train_loss, 4.0);
   EXPECT_EQ(malformed.value() - malformed0, 2u);
+
+  malformed0 = malformed.value();
+  const HubRun garbage = run_star_hub(5, kRounds, frame_for);
+  ASSERT_EQ(garbage.report.rounds.size(), kRounds);
+  EXPECT_EQ(garbage.report.rounds[0].participated, 1u);
+  EXPECT_EQ(garbage.report.rounds[0].dropped_ranks, (std::vector<int>{2, 3, 4}));
+  EXPECT_DOUBLE_EQ(garbage.report.rounds[0].train_loss, 2.0);
+  EXPECT_EQ(garbage.report.rounds[1].participated, 3u);
+  EXPECT_EQ(garbage.report.rounds[1].dropped_ranks, (std::vector<int>{4}));
+  EXPECT_DOUBLE_EQ(garbage.report.rounds[1].train_loss, 4.0);  // not (2+4+6+8)/4
+  EXPECT_EQ(malformed.value() - malformed0, 4u);
+  EXPECT_TRUE(garbage.globals == clean.globals);
+  EXPECT_TRUE(garbage.report.final_model == clean.report.final_model);
+}
+
+// A hierarchical root combiner: hand-driven group members on `inner_world`
+// and hand-driven leaders on `outer_world` (1 = the root alone). Leader r
+// sends leader_frame(r, round, global) up the outer tier.
+HubRun run_hier_root(int inner_world, int outer_world, std::size_t rounds,
+                     const FrameFn& member_frame, const FrameFn& leader_frame) {
+  InProcGroup inner(inner_world);
+  InProcGroup outer(outer_world);
+  of::core::NodeSetup s = hub_setup("hierarchical", rounds, inner_world - 1);
+  s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
+  s.inner_spec.group = &inner;
+  s.inner_spec.world = inner_world;
+  s.outer_spec.backend = of::core::CommSpec::Backend::InProc;
+  s.outer_spec.group = &outer;
+  s.outer_spec.world = outer_world;
+  HubRun out;
+  std::exception_ptr leader_error, hub_error;
+  std::thread leaders([&] {
+    try {
+      run_group(outer, [&](int r, Communicator& c) {
+        if (r == 0) return;  // the root runs inside drive_clients
+        const auto opt = star::wait_for_all(c);
+        for (std::size_t round = 0; round < rounds; ++round) {
+          Bytes global;
+          c.broadcast_bytes(global, 0);
+          (void)star::gather_bytes_partial(c, leader_frame(r, round, global), opt);
+        }
+      });
+    } catch (...) {
+      leader_error = std::current_exception();
+    }
+  });
+  try {
+    drive_clients(inner, s, rounds, member_frame, out);
+  } catch (...) {
+    hub_error = std::current_exception();
+  }
+  leaders.join();
+  for (const auto& e : {hub_error, leader_error})
+    if (e) std::rethrow_exception(e);
+  return out;
+}
+
+TEST(HierLeader, GarbageBodyDropsOnlyItsSenderInEitherTier) {
+  // The root folds group members 1 and 2 (losses 2 and 4). A third member,
+  // or a second leader, sends a valid Update trailer over a truncated
+  // body: it is dropped and counted each round, its loss is not summed,
+  // and every model the root sends is bitwise the one from the run
+  // without it.
+  constexpr std::size_t kRounds = 2;
+  const FrameFn member_frame = [](int r, std::size_t, const Bytes& global) {
+    Bytes frame = scaled_update(r, global);
+    if (r == 3) truncate_body(frame);
+    of::core::append_up_trailer(frame, of::core::UpKind::Update,
+                                {2.0f * static_cast<float>(r), 1.0f});
+    return frame;
+  };
+  const FrameFn leader_frame = [](int r, std::size_t, const Bytes& global) {
+    of::core::FramePool pool;
+    of::core::StreamingSum sum(pool);
+    sum.add(scaled_update(r, global));
+    Bytes partial;
+    sum.encode_partial_into(1.0, nullptr, partial);
+    truncate_body(partial);
+    of::core::append_up_trailer(partial, of::core::UpKind::Update, {100.0f, 1.0f});
+    return partial;
+  };
+
+  auto& malformed = of::obs::Registry::global().counter("payload.malformed_dropped");
+  const HubRun clean = run_hier_root(3, 1, kRounds, member_frame, leader_frame);
+  ASSERT_EQ(clean.report.rounds.size(), kRounds);
+  for (const auto& rec : clean.report.rounds) EXPECT_DOUBLE_EQ(rec.train_loss, 3.0);
+
+  for (const bool group_tier : {true, false}) {
+    const auto malformed0 = malformed.value();
+    const HubRun garbage = group_tier
+                               ? run_hier_root(4, 1, kRounds, member_frame, leader_frame)
+                               : run_hier_root(3, 2, kRounds, member_frame, leader_frame);
+    ASSERT_EQ(garbage.report.rounds.size(), kRounds) << "group tier " << group_tier;
+    for (const auto& rec : garbage.report.rounds)
+      EXPECT_DOUBLE_EQ(rec.train_loss, 3.0) << "group tier " << group_tier;
+    EXPECT_EQ(malformed.value() - malformed0, kRounds) << "group tier " << group_tier;
+    EXPECT_TRUE(garbage.globals == clean.globals) << "group tier " << group_tier;
+    EXPECT_TRUE(garbage.report.final_model == clean.report.final_model)
+        << "group tier " << group_tier;
+  }
 }
 
 // --- faulty Engine runs ----------------------------------------------------------------

@@ -133,14 +133,17 @@ TelemetrySummary make_summary() {
 }
 
 TEST(Telemetry, SummaryRoundTripsThroughFrameTail) {
-  const TelemetrySummary t = make_summary();
+  TelemetrySummary t = make_summary();
+  t.peak_rss_kb = 54'321;
+  t.round_span_id = 0x5151'7777ull;
   // The blob rides at the end of a payload frame, exactly like the wire.
   of::AlignedBytes frame(137, 0x5A);
   const std::size_t payload_len = frame.size();
-  t.serialize_to(frame);
-  ASSERT_EQ(frame.size(), payload_len + TelemetrySummary::kWireBytes);
-  const auto got = TelemetrySummary::parse_tail(frame.data(), frame.size());
+  t.serialize_tlv_to(frame);
+  std::size_t tail = 0;
+  const auto got = TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(tail, frame.size() - payload_len);
   EXPECT_EQ(got->trace_id, t.trace_id);
   EXPECT_EQ(got->rank, t.rank);
   EXPECT_EQ(got->round, t.round);
@@ -158,13 +161,22 @@ TEST(Telemetry, SummaryRoundTripsThroughFrameTail) {
     EXPECT_EQ(got->phases[i].total_ns, t.phases[i].total_ns);
     EXPECT_EQ(got->phases[i].max_ns, t.phases[i].max_ns);
   }
+  EXPECT_EQ(got->peak_rss_kb, t.peak_rss_kb);
+  EXPECT_EQ(got->round_span_id, t.round_span_id);
 }
 
 TEST(Telemetry, ParseTailRejectsShortOrCorruptBuffers) {
   of::AlignedBytes frame;
-  make_summary().serialize_to(frame);
+  make_summary().serialize_tlv_to(frame);
+  ASSERT_TRUE(TelemetrySummary::parse_tail(frame.data(), frame.size()).has_value());
+  // Cut short: the 12-byte trailer no longer sits at the end.
   EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), frame.size() - 1).has_value());
-  frame[frame.size() - TelemetrySummary::kWireBytes] ^= 0xFF;  // break the magic
+  EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), 11).has_value());
+  // A payload length longer than the buffer ahead of the trailer.
+  of::AlignedBytes too_long = frame;
+  too_long[too_long.size() - 12 + 2] = 0xFF;  // payload_len's third byte
+  EXPECT_FALSE(TelemetrySummary::parse_tail(too_long.data(), too_long.size()).has_value());
+  frame[frame.size() - 1] ^= 0xFF;  // break the magic
   EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), frame.size()).has_value());
 }
 
