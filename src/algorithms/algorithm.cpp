@@ -74,6 +74,13 @@ std::vector<Tensor> Algorithm::server_update(ServerState& state,
   return state.global;
 }
 
+std::vector<tensor::Shape> Algorithm::payload_shapes(const std::vector<Tensor>& global) const {
+  std::vector<tensor::Shape> shapes;
+  shapes.reserve(global.size());
+  for (const auto& t : global) shapes.push_back(t.shape());
+  return shapes;
+}
+
 float evaluate_accuracy(Model& model, const data::InMemoryDataset& test,
                         std::size_t batch_size) {
   model.set_training(false);

@@ -104,6 +104,9 @@ class Algorithm {
   // Consume the weighted-mean payload, produce the next global payload.
   virtual std::vector<Tensor> server_update(ServerState& state,
                                             const std::vector<Tensor>& mean_update);
+  // Shapes of every client payload P_i for a given global payload; hubs
+  // check each update's manifest against it. Default: the global's shapes.
+  virtual std::vector<tensor::Shape> payload_shapes(const std::vector<Tensor>& global) const;
 
   // --- policy -----------------------------------------------------------------
   // Parameter filter: FedBN keeps BatchNorm local, FedPer keeps the head.

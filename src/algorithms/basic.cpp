@@ -106,6 +106,12 @@ std::vector<Tensor> FedNova::client_update(TrainContext& ctx) {
   return payload;
 }
 
+std::vector<tensor::Shape> FedNova::payload_shapes(const std::vector<Tensor>& global) const {
+  auto shapes = Algorithm::payload_shapes(global);
+  shapes.push_back({1});  // tau
+  return shapes;
+}
+
 std::vector<Tensor> FedNova::server_update(ServerState& state,
                                            const std::vector<Tensor>& mean) {
   OF_CHECK_MSG(mean.size() == state.global.size() + 1,

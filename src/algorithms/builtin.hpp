@@ -60,6 +60,7 @@ class FedNova final : public Algorithm {
   std::vector<Tensor> client_update(TrainContext& ctx) override;
   std::vector<Tensor> server_update(ServerState& state,
                                     const std::vector<Tensor>& mean) override;
+  std::vector<tensor::Shape> payload_shapes(const std::vector<Tensor>& global) const override;
 };
 
 // SCAFFOLD (Karimireddy et al. 2020): control variates correct client

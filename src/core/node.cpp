@@ -429,6 +429,7 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
   const bool streaming =
       s_.aggregation_rule == AggregationRule::Mean && s_.privacy == nullptr;
   StreamingSum sum(pool_, s_.compressor.get());
+  if (streaming) sum.expect(s_.wire_repr, algo.payload_shapes(state.global));
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -661,6 +662,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
   serve::ClientSampler sampler(s_.participation_seed);
   serve::StalenessBuffer buffer(pool_, s_.compressor.get(), s_.serve.buffer_size,
                                 s_.serve.max_staleness, s_.serve.alpha);
+  buffer.expect(s_.wire_repr, algo.payload_shapes(state.global));
 
   // Server model version = buffer drains so far. Atomic because the
   // transport lifecycle callback below reads it from the event-loop thread.
@@ -1012,6 +1014,13 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
   const bool streaming = s_.privacy == nullptr;
   StreamingSum group_sum(pool_, s_.compressor.get());
   StreamingSum root_sum(pool_, s_.outer_compressor.get());
+  if (streaming) {
+    // Member updates and leader partials share the client payload's shapes.
+    const auto shapes =
+        algo.payload_shapes(is_root ? state.global : algo.initial_global(s_.model));
+    group_sum.expect(s_.wire_repr, shapes);
+    root_sum.expect(s_.wire_repr, shapes);
+  }
   comm::star::PartialGatherOptions group_opt = comm::star::wait_for_all(inner);
   if (streaming && s_.hier_deadline_seconds > 0) {
     group_opt.min_clients = std::min(s_.hier_min_clients, inner.world_size() - 1);
@@ -1137,7 +1146,9 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
         outer_opt);
     outer_span.end();
     if (is_root) {
-      {
+      // A round whose every member and leader partial was dropped leaves
+      // the global model untouched, as the centralized hub does.
+      if (!streaming || root_sum.count() > 0) {
         ScopedSpan span(Name::Aggregate, s_.node_id, round,
                         streaming ? root_sum.count() : outer_frames.size());
         const auto mean =

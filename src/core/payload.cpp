@@ -216,10 +216,20 @@ void write_manifest_shapes(Bytes& out, const std::vector<tensor::Shape>& shapes)
 StreamingSum::StreamingSum(FramePool& pool, compression::Compressor* decompressor)
     : pool_(&pool), decompressor_(decompressor) {}
 
+void StreamingSum::expect(WireRepr repr, std::vector<tensor::Shape> shapes) {
+  OF_CHECK_MSG(!init_, "StreamingSum::expect after a frame was folded");
+  mode_ = decompressor_ ? kCompressed : repr == WireRepr::F16 ? kPlainF16 : kPlain;
+  total_ = manifest_numel(shapes);
+  shapes_ = std::move(shapes);
+  pinned_ = true;
+}
+
 void StreamingSum::reset() {
   acc_ = FramePool::FloatHandle{};
-  shapes_.clear();
-  total_ = 0;
+  if (!pinned_) {
+    shapes_.clear();
+    total_ = 0;
+  }
   count_ = 0;
   init_ = false;
 }
@@ -227,9 +237,11 @@ void StreamingSum::reset() {
 void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
                                  std::size_t total, std::uint8_t mode) {
   if (init_) return;
-  shapes_ = shapes;
-  total_ = total;
-  mode_ = mode;
+  if (!pinned_) {
+    shapes_ = shapes;
+    total_ = total;
+    mode_ = mode;
+  }
   acc_ = pool_->acquire_floats(total_);
   std::fill(acc_->begin(), acc_->end(), 0.0f);
   peak_bytes_ = std::max(peak_bytes_, total_ * sizeof(float));
@@ -238,7 +250,8 @@ void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
 
 // Every check on the frame runs before the first write to the sum, so a
 // frame that throws leaves it exactly as it was — a garbage first frame
-// cannot fix the structure that later, valid frames are checked against.
+// cannot fix the structure that later, valid frames are checked against
+// (and with expect(), no frame fixes it at all).
 // Each accumulate is one pool region over the coordinates: an element sees
 // the same single op whichever chunk holds it, in frame order, so the sum
 // is bitwise identical for any thread count.
@@ -248,11 +261,11 @@ void StreamingSum::add_update_frame(ConstByteSpan frame, double weight) {
   OF_CHECK_MSG(mode != kPrivacy,
                "privacy frames cannot stream into a partial sum — use the "
                "collect-then-mean path");
-  OF_CHECK_MSG(!init_ || mode == mode_, "mixed payload modes in one aggregation");
+  const bool fixed = init_ || pinned_;
+  OF_CHECK_MSG(!fixed || mode == mode_, "mixed payload modes in one aggregation");
   const auto shapes = read_manifest(frame, off);
   const std::size_t total = manifest_numel(shapes);
-  OF_CHECK_MSG(!init_ || (shapes.size() == shapes_.size() && total == total_),
-               "payload structure mismatch");
+  OF_CHECK_MSG(!fixed || shapes == shapes_, "payload structure mismatch");
   if (plain_mode(mode)) {
     const std::size_t elem = plain_elem_size(mode);
     OF_CHECK_MSG(frame.size() - off == total * elem, "trailing bytes in plain payload");

@@ -144,6 +144,12 @@ class StreamingSum {
   explicit StreamingSum(FramePool& pool,
                         compression::Compressor* decompressor = nullptr);
 
+  // Pin the mode and manifest every frame must carry instead of taking them
+  // from the first frame folded. A hub knows both (its codec and wire repr,
+  // the algorithm's payload shapes), so a well-formed frame of another mode
+  // or structure throws and drops only its sender, whatever the rank or
+  // arrival order. Kept across reset().
+  void expect(WireRepr repr, std::vector<tensor::Shape> shapes);
   // Forget all contributions (pooled capacity persists; peak_bytes does too).
   void reset();
   // Fold in one client update frame (plain/compressed; skip markers are
@@ -171,7 +177,8 @@ class StreamingSum {
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
  private:
-  // First accepted frame: fix the structure and mode, zero the accumulator.
+  // First accepted frame: fix the structure and mode (unless expect() pinned
+  // them), zero the accumulator.
   void ensure_shapes(const std::vector<tensor::Shape>& shapes, std::size_t total,
                      std::uint8_t mode);
   void add_update_frame(ConstByteSpan frame, double weight);
@@ -183,8 +190,9 @@ class StreamingSum {
   std::size_t total_ = 0;
   std::size_t count_ = 0;
   std::size_t peak_bytes_ = 0;
-  std::uint8_t mode_ = 0;  // the first accepted frame's mode byte
-  bool init_ = false;
+  std::uint8_t mode_ = 0;  // the pinned or first accepted frame's mode byte
+  bool init_ = false;    // accumulator allocated
+  bool pinned_ = false;  // mode_/shapes_/total_ set by expect()
 };
 
 // Pack/unpack a tensor list without plugins (global-payload broadcast).

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/payload.hpp"
@@ -32,6 +33,12 @@ class StalenessBuffer {
   // codec instance for compressed client frames.
   StalenessBuffer(core::FramePool& pool, compression::Compressor* decompressor,
                   std::size_t capacity, std::size_t max_staleness, double alpha);
+
+  // Pin the mode and manifest every offered frame must carry
+  // (StreamingSum::expect).
+  void expect(core::WireRepr repr, std::vector<tensor::Shape> shapes) {
+    sum_.expect(repr, std::move(shapes));
+  }
 
   // Staleness weight for an accepted update: α/(1+s).
   double weight(std::size_t staleness) const;

@@ -105,6 +105,38 @@ TEST(StreamingSum, RejectedFrameLeavesTheSumUntouched) {
   }
 }
 
+TEST(StreamingSum, ExpectPinsModeAndStructure) {
+  // With the mode and manifest pinned, a well-formed first frame of another
+  // mode or structure throws and leaves the sum untouched, and the pin
+  // outlives reset(). The codec decides the mode: a sum with a decompressor
+  // expects compressed frames whatever the wire repr.
+  const std::vector<of::tensor::Shape> shapes{{4}, {3}};
+  const std::vector<Tensor> other{Tensor::full({5}, 1.0f), Tensor::full({2}, 1.0f)};
+  for (const bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "qsgd" : "plain");
+    of::compression::QSGD codec(8, /*seed=*/3);
+    of::compression::Compressor* c = compressed ? &codec : nullptr;
+    const of::core::PayloadPlugins plugins{c, nullptr};
+    FramePool pool;
+    StreamingSum sum(pool, c);
+    sum.expect(of::core::WireRepr::F32, shapes);
+    for (int pass = 0; pass < 2; ++pass) {
+      const Bytes wrong_mode =
+          compressed ? encode_update(client_payload(0), 1.0, {}, 0, 1)
+                     : encode_update(client_payload(0), 1.0, {}, 0, 1,
+                                     of::core::WireRepr::F16);
+      EXPECT_THROW(sum.add(wrong_mode), std::runtime_error);
+      EXPECT_THROW(sum.add(encode_update(other, 1.0, plugins, 0, 1)), std::runtime_error);
+      EXPECT_EQ(sum.count(), 0u);
+      EXPECT_EQ(sum.peak_bytes(), 0u);
+      sum.reset();
+    }
+    sum.add(encode_update(client_payload(1), 1.0, plugins, 0, 1));
+    EXPECT_EQ(sum.count(), 1u);
+    EXPECT_EQ(sum.finish_mean().size(), shapes.size());
+  }
+}
+
 TEST(StreamingSum, PartialFramesComposeAcrossTiers) {
   // Two combiners with unequal group sizes fold their clients locally, emit
   // partials, and a root folds the partials: the result must equal the flat

@@ -394,6 +394,47 @@ TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
   EXPECT_EQ(malformed.value() - malformed0, 4u);
   EXPECT_TRUE(garbage.globals == clean.globals);
   EXPECT_TRUE(garbage.report.final_model == clean.report.final_model);
+
+  // The hub folds rank 1 first. A well-formed frame from it of another mode
+  // (f16 among f32 peers) or another structure (one tensor more) must not
+  // fix what ranks 2 and 3 are checked against: rank 1 alone is dropped,
+  // and every model is bitwise the one from the run where its body is
+  // garbage.
+  using BodyFn = std::function<Bytes(const Bytes& global)>;
+  const auto rank1_sends = [](const BodyFn& body) {
+    return run_star_hub(4, kRounds, [&](int r, std::size_t, const Bytes& global) {
+      Bytes frame = r == 1 ? body(global) : scaled_update(r, global);
+      of::core::append_up_trailer(frame, of::core::UpKind::Update,
+                                  {2.0f * static_cast<float>(r), 1.0f});
+      return frame;
+    });
+  };
+  const HubRun without = rank1_sends([](const Bytes& global) {
+    Bytes frame = scaled_update(1, global);
+    truncate_body(frame);
+    return frame;
+  });
+  const HubRun other_mode = rank1_sends([](const Bytes& global) {
+    return of::core::encode_update(of::core::unpack_tensors(global), 0.5, {}, 0, 3,
+                                   of::core::WireRepr::F16);
+  });
+  const HubRun other_shape = rank1_sends([](const Bytes& global) {
+    auto payload = of::core::unpack_tensors(global);
+    payload.push_back(of::tensor::Tensor({1}, 1.0f));
+    return of::core::encode_update(payload, 0.5, {}, 0, 3);
+  });
+  for (const HubRun* run : {&without, &other_mode, &other_shape}) {
+    ASSERT_EQ(run->report.rounds.size(), kRounds);
+    for (const auto& rec : run->report.rounds) {
+      EXPECT_EQ(rec.participated, 2u);
+      EXPECT_EQ(rec.dropped_ranks, (std::vector<int>{1}));
+      EXPECT_DOUBLE_EQ(rec.train_loss, 5.0);  // ranks 2 and 3: (4 + 6) / 2
+    }
+  }
+  EXPECT_TRUE(other_mode.globals == without.globals);
+  EXPECT_TRUE(other_mode.report.final_model == without.report.final_model);
+  EXPECT_TRUE(other_shape.globals == without.globals);
+  EXPECT_TRUE(other_shape.report.final_model == without.report.final_model);
 }
 
 // A hierarchical root combiner: hand-driven group members on `inner_world`
@@ -481,6 +522,44 @@ TEST(HierLeader, GarbageBodyDropsOnlyItsSenderInEitherTier) {
     EXPECT_TRUE(garbage.report.final_model == clean.report.final_model)
         << "group tier " << group_tier;
   }
+
+  // The group tier folds in arrival order. A well-formed f16 frame from
+  // member 3, sent while members 1 and 2 hold theirs back, must not fix
+  // the mode the others are checked against: member 3 alone is dropped.
+  const FrameFn f16_first = [&](int r, std::size_t round, const Bytes& global) {
+    if (r != 3) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return member_frame(r, round, global);
+    }
+    Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 1.5, {}, 2, 3,
+                                          of::core::WireRepr::F16);
+    of::core::append_up_trailer(frame, of::core::UpKind::Update, {6.0f, 1.0f});
+    return frame;
+  };
+  const auto malformed0 = malformed.value();
+  const HubRun other_mode = run_hier_root(4, 1, kRounds, f16_first, leader_frame);
+  ASSERT_EQ(other_mode.report.rounds.size(), kRounds);
+  for (const auto& rec : other_mode.report.rounds) EXPECT_DOUBLE_EQ(rec.train_loss, 3.0);
+  EXPECT_EQ(malformed.value() - malformed0, kRounds);
+  EXPECT_TRUE(other_mode.globals == clean.globals);
+  EXPECT_TRUE(other_mode.report.final_model == clean.report.final_model);
+
+  // A round in which every member and every leader partial is garbage
+  // leaves the root's global model untouched, and the run goes on.
+  const FrameFn all_garbage_in_round1 = [&](int r, std::size_t round, const Bytes& global) {
+    Bytes frame = scaled_update(r, global);
+    if (round == 1) truncate_body(frame);
+    of::core::append_up_trailer(frame, of::core::UpKind::Update,
+                                {2.0f * static_cast<float>(r), 1.0f});
+    return frame;
+  };
+  const HubRun empty_round = run_hier_root(3, 2, 3, all_garbage_in_round1, leader_frame);
+  ASSERT_EQ(empty_round.report.rounds.size(), 3u);
+  ASSERT_EQ(empty_round.globals.size(), 3u);
+  EXPECT_DOUBLE_EQ(empty_round.report.rounds[1].train_loss, 0.0);  // nothing summed
+  EXPECT_TRUE(empty_round.globals[0] == clean.globals[0]);
+  EXPECT_TRUE(empty_round.globals[1] == clean.globals[1]);
+  EXPECT_TRUE(empty_round.globals[2] == empty_round.globals[1]);
 }
 
 // --- faulty Engine runs ----------------------------------------------------------------

@@ -245,6 +245,24 @@ TEST(StalenessBufferTest, ZeroMaxStalenessIsUnbounded) {
   EXPECT_EQ(buf.offer(f, 1000), StalenessBuffer::Admission::Accepted);
 }
 
+TEST(StalenessBufferTest, PinnedModeRejectsAnotherModeAcrossDrains) {
+  // The serve hub pins the buffer to its wire repr and the payload shapes:
+  // an f16 update among f32 peers throws before it is counted, in the
+  // first window and after a drain alike.
+  FramePool pool;
+  StalenessBuffer buf(pool, nullptr, 1, 0, 1.0);
+  buf.expect(of::core::WireRepr::F32, {{4}, {3}});
+  const Bytes f16 = encode_update(delta(1.0f, 1.0f), 1.0, {}, 0, 1, of::core::WireRepr::F16);
+  const Bytes f32 = encode_update(delta(2.0f, 2.0f), 1.0, {}, 0, 1);
+  for (int window = 0; window < 2; ++window) {
+    EXPECT_THROW((void)buf.offer(f16, 0), std::runtime_error);
+    EXPECT_EQ(buf.size(), 0u);
+    EXPECT_EQ(buf.offer(f32, 0), StalenessBuffer::Admission::Accepted);
+    EXPECT_EQ(buf.drain()[0][0], 2.0f);
+  }
+  EXPECT_EQ(buf.accepted_total(), 2u);
+}
+
 // --- serve config -------------------------------------------------------------
 
 TEST(ServeConfigTest, MissingGroupYieldsDisabledDefaults) {
