@@ -6,6 +6,7 @@
 // FedProx, FedBN, FedPer, FedNova) cluster together; Moon and Ditto pay for
 // extra model copies/forward passes; DiLoCo pays AdamW bookkeeping.
 #include <cstdlib>
+#include <thread>
 
 #include "algorithms/algorithm.hpp"
 #include "bench_common.hpp"
@@ -16,8 +17,8 @@ int main() {
   const auto pairings = of::bench::paper_pairings();
   of::bench::print_header("Figure 3 — epoch completion time per algorithm (seconds)",
                           "Figure 3");
-  std::printf("(mean over %zu rounds of 1 local epoch; 8 clients sharing one CPU)\n\n",
-              rounds);
+  std::printf("(mean over %zu rounds of 1 local epoch; 8 clients on %u cores)\n\n", rounds,
+              std::thread::hardware_concurrency());
   of::bench::print_row_header(pairings, "Algorithm");
   for (const auto& algo : of::algorithms::algorithm_names()) {
     std::printf("%-18s", algo.c_str());

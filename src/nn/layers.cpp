@@ -1,6 +1,10 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "exec/pool.hpp"
+#include "simd/simd.hpp"
 
 namespace of::nn {
 
@@ -19,17 +23,38 @@ Tensor Linear::forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = x.matmul(weight_.value);
   const std::size_t batch = y.size(0), out = y.size(1);
-  for (std::size_t b = 0; b < batch; ++b)
-    for (std::size_t j = 0; j < out; ++j) y(b, j) += bias_.value[j];
+  for (std::size_t b = 0; b < batch; ++b) simd::add(y.data() + b * out, bias_.value.data(), out);
   return y;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  // dW = xᵀ·dy ; db = Σ_batch dy ; dx = dy·Wᵀ
-  weight_.grad.add_(cached_input_.transpose2d().matmul(grad_out));
-  const std::size_t batch = grad_out.size(0), out = grad_out.size(1);
-  for (std::size_t b = 0; b < batch; ++b)
-    for (std::size_t j = 0; j < out; ++j) bias_.grad[j] += grad_out(b, j);
+  // dW += xᵀ·dy ; db += Σ_batch dy ; dx = dy·Wᵀ
+  const std::size_t in = weight_.value.size(0), out = weight_.value.size(1);
+  OF_CHECK_MSG(grad_out.ndim() == 2 && grad_out.size(1) == out &&
+                   grad_out.size(0) == cached_input_.size(0),
+               "Linear: grad " << grad_out.shape_string() << " does not match input "
+                               << cached_input_.shape_string() << " and weight "
+                               << weight_.value.shape_string());
+  const std::size_t batch = grad_out.size(0);
+  const float* x = cached_input_.data();
+  const float* dy = grad_out.data();
+  float* dw = weight_.grad.data();
+  // Row i of xᵀ·dy is built in a scratch row with matmul's skip-zero axpy
+  // order, then added into the grad: the same bytes as adding the full
+  // product, without the xᵀ copy or the in×out temporary.
+  exec::Pool::global().parallel_for(in, out * batch, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> row(out);
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::fill(row.begin(), row.end(), 0.0f);
+      for (std::size_t b = 0; b < batch; ++b) {
+        const float xbi = x[b * in + i];
+        if (xbi == 0.0f) continue;
+        simd::axpy(row.data(), dy + b * out, xbi, out);
+      }
+      simd::add(dw + i * out, row.data(), out);
+    }
+  });
+  for (std::size_t b = 0; b < batch; ++b) simd::add(bias_.grad.data(), dy + b * out, out);
   return grad_out.matmul(weight_.value.transpose2d());
 }
 

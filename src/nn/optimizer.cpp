@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "simd/simd.hpp"
 
 namespace of::nn {
 
@@ -28,20 +29,33 @@ SGD::SGD(std::vector<Parameter*> params, float lr, float momentum, float weight_
 }
 
 void SGD::step() {
+  // Per tile, through the simd kernels: tmp = g + wd·w; vel = vel·m + tmp;
+  // tmp += m·vel (Nesterov); w += (−lr)·step. Each call is one rounding of
+  // the scalar update, in its order, and w + (−lr·s) == w − lr·s exactly,
+  // so the bytes match the per-element loop. The wd axpy runs even at
+  // wd = 0: g + 0·w maps −0 to +0 and an infinite w to NaN.
+  constexpr std::size_t kTile = 1024;
+  float tmp[kTile];
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    Tensor& v = velocity_[i];
-    float* g = p.grad.data();
+    const float* g = p.grad.data();
     float* w = p.value.data();
-    float* vel = v.data();
+    float* vel = velocity_[i].data();
     const std::size_t n = p.value.numel();
-    for (std::size_t j = 0; j < n; ++j) {
-      float grad = g[j] + weight_decay_ * w[j];
+    for (std::size_t j = 0; j < n; j += kTile) {
+      const std::size_t len = std::min(kTile, n - j);
+      std::copy_n(g + j, len, tmp);
+      simd::axpy(tmp, w + j, weight_decay_, len);
+      const float* step = tmp;
       if (momentum_ != 0.0f) {
-        vel[j] = momentum_ * vel[j] + grad;
-        grad = nesterov_ ? grad + momentum_ * vel[j] : vel[j];
+        simd::scale(vel + j, momentum_, len);
+        simd::add(vel + j, tmp, len);
+        if (nesterov_)
+          simd::axpy(tmp, vel + j, momentum_, len);
+        else
+          step = vel + j;
       }
-      w[j] -= lr_ * grad;
+      simd::axpy(w + j, step, -lr_, len);
     }
   }
 }

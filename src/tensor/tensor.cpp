@@ -16,6 +16,10 @@ namespace {
 // whether to dispatch it.
 constexpr std::size_t kReduceChunk = 1 << 15;
 
+// Side of the square tiles transpose2d copies through (16 floats = one
+// 64-byte cache line).
+constexpr std::size_t kTransposeTile = 16;
+
 }  // namespace
 
 std::size_t shape_numel(const Shape& shape) {
@@ -295,9 +299,18 @@ Tensor Tensor::transpose2d() const {
   Tensor out({c, r});
   const float* src = data_.data();
   float* dst = out.data_.data();
+  // Copy in kTransposeTile² tiles inside each row chunk: a tile's strided
+  // side spans kTransposeTile cache lines, which stay resident while the
+  // tile is written, instead of one line per element across the whole row.
   const auto rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      for (std::size_t j = 0; j < c; ++j) dst[j * r + i] = src[i * c + j];
+    for (std::size_t i0 = lo; i0 < hi; i0 += kTransposeTile) {
+      const std::size_t i1 = std::min(i0 + kTransposeTile, hi);
+      for (std::size_t j0 = 0; j0 < c; j0 += kTransposeTile) {
+        const std::size_t j1 = std::min(j0 + kTransposeTile, c);
+        for (std::size_t j = j0; j < j1; ++j)
+          for (std::size_t i = i0; i < i1; ++i) dst[j * r + i] = src[i * c + j];
+      }
+    }
   };
   exec::Pool::global().parallel_for(r, c, rows);  // one copy per element
   return out;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "exec/pool.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
@@ -9,6 +11,7 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/zoo.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -17,6 +20,52 @@ using of::nn::Module;
 using of::nn::Parameter;
 using of::tensor::Rng;
 using of::tensor::Tensor;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Every third element an exact 0 and every fifth a −0, so kernels that skip
+// zero multipliers and the sign of zero sums are both exercised.
+Tensor sprinkle_zeros(Tensor t) {
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    if (i % 3 == 0) t[i] = 0.0f;
+    else if (i % 5 == 0) t[i] = -0.0f;
+  }
+  return t;
+}
+
+Tensor naive_transpose(const Tensor& a) {
+  const std::size_t r = a.size(0), c = a.size(1);
+  Tensor t({c, r});
+  for (std::size_t i = 0; i < r; ++i)
+    for (std::size_t j = 0; j < c; ++j) t[j * r + i] = a[i * c + j];
+  return t;
+}
+
+// Each configuration of the identity tests: simd table × pool threads.
+struct ExecCase {
+  of::simd::Mode simd;
+  std::size_t threads;
+};
+const ExecCase kExecCases[] = {{of::simd::Mode::Auto, 1},
+                               {of::simd::Mode::Auto, 4},
+                               {of::simd::Mode::Off, 1},
+                               {of::simd::Mode::Off, 4}};
+
+// Restores the defaults the other tests run under.
+struct ExecGuard {
+  ~ExecGuard() {
+    of::simd::configure(of::simd::Mode::Auto);
+    of::exec::Pool::global().configure(1);
+  }
+};
+
+void apply(const ExecCase& c) {
+  of::simd::configure(c.simd);
+  of::exec::Pool::global().configure(c.threads);
+}
 
 // Scalar loss L = Σ (weights ⊙ module(x)); returns L and drives backward.
 float weighted_loss_and_backward(Module& m, const Tensor& x, const Tensor& weights,
@@ -80,6 +129,66 @@ TEST(GradCheck, Linear) {
   Rng rng(1);
   of::nn::Linear layer(5, 4, rng);
   check_gradients(layer, 5, 3, rng);
+}
+
+// Linear's forward and backward against the plain formulas as reference:
+// y = x·W then + b row by row, dW += xᵀ·dy as one product added in,
+// db += dy summed row by row, dx = dy·Wᵀ through a plain transpose. Two
+// backward passes check that the grads accumulate in the same order. The
+// last shape is large enough to split across the pool at 4 threads.
+TEST(Linear, MatchesReferenceFormulasBitwise) {
+  ExecGuard guard;
+  struct Dims {
+    std::size_t batch, in, out;
+  };
+  const Dims dims[] = {{1, 1, 1}, {5, 16, 256}, {5, 256, 256}, {7, 33, 17}, {32, 80, 80},
+                       {48, 300, 257}};
+  for (const Dims& d : dims) {
+    std::vector<Tensor> first;  // outputs of the first configuration
+    for (const ExecCase& c : kExecCases) {
+      apply(c);
+      Rng rng(d.batch * 7919 + d.in * 31 + d.out);
+      of::nn::Linear layer(d.in, d.out, rng);
+      Parameter& w = layer.weight();
+      Parameter& b = layer.bias();
+      b.value = Tensor::randn({d.out}, rng);
+      w.grad = sprinkle_zeros(Tensor::randn({d.in, d.out}, rng));
+      b.grad = sprinkle_zeros(Tensor::randn({d.out}, rng));
+      const Tensor x = sprinkle_zeros(Tensor::randn({d.batch, d.in}, rng));
+      const Tensor dy1 = sprinkle_zeros(Tensor::randn({d.batch, d.out}, rng));
+      const Tensor dy2 = sprinkle_zeros(Tensor::randn({d.batch, d.out}, rng));
+
+      Tensor ref_y = x.matmul(w.value);
+      for (std::size_t i = 0; i < d.batch; ++i)
+        for (std::size_t j = 0; j < d.out; ++j) ref_y(i, j) += b.value[j];
+      Tensor ref_dw = w.grad, ref_db = b.grad;
+      std::vector<Tensor> ref_dx;
+      for (const Tensor* dy : {&dy1, &dy2}) {
+        ref_dw.add_(naive_transpose(x).matmul(*dy));
+        for (std::size_t i = 0; i < d.batch; ++i)
+          for (std::size_t j = 0; j < d.out; ++j) ref_db[j] += (*dy)(i, j);
+        ref_dx.push_back(dy->matmul(naive_transpose(w.value)));
+      }
+
+      const Tensor y = layer.forward(x);
+      const Tensor dx1 = layer.backward(dy1);
+      const Tensor dx2 = layer.backward(dy2);
+      const std::string where = std::to_string(d.batch) + "x" + std::to_string(d.in) + "x" +
+                                std::to_string(d.out) + " simd=" +
+                                of::simd::active_level() + " threads=" +
+                                std::to_string(c.threads);
+      EXPECT_TRUE(bitwise_equal(y, ref_y)) << "y " << where;
+      EXPECT_TRUE(bitwise_equal(dx1, ref_dx[0])) << "dx " << where;
+      EXPECT_TRUE(bitwise_equal(dx2, ref_dx[1])) << "dx " << where;
+      EXPECT_TRUE(bitwise_equal(w.grad, ref_dw)) << "dW " << where;
+      EXPECT_TRUE(bitwise_equal(b.grad, ref_db)) << "db " << where;
+
+      const std::vector<Tensor> got = {y, dx1, dx2, w.grad, b.grad};
+      if (first.empty()) first = got;
+      for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_TRUE(bitwise_equal(got[k], first[k])) << "output " << k << " " << where;
+    }
+  }
 }
 
 TEST(GradCheck, ReLU) {
@@ -343,6 +452,66 @@ TEST(Optimizer, SgdConvergesOnQuadratic) {
     opt.step();
   }
   EXPECT_NEAR(p.value[0], 1.0f, 0.05f);
+}
+
+// The per-element SGD update SGD::step must match bit for bit.
+void reference_sgd_step(std::vector<Tensor>& w, std::vector<Tensor>& vel,
+                        const std::vector<Tensor>& grads, float lr, float momentum,
+                        float weight_decay, bool nesterov) {
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (std::size_t j = 0; j < w[i].numel(); ++j) {
+      float grad = grads[i][j] + weight_decay * w[i][j];
+      if (momentum != 0.0f) {
+        vel[i][j] = momentum * vel[i][j] + grad;
+        grad = nesterov ? grad + momentum * vel[i][j] : vel[i][j];
+      }
+      w[i][j] -= lr * grad;
+    }
+  }
+}
+
+// Sizes around the 1024-element tile, over every momentum / Nesterov /
+// weight-decay combination, for three steps under both simd tables.
+TEST(Optimizer, SgdStepMatchesScalarLoopBitwise) {
+  ExecGuard guard;
+  const std::size_t sizes[] = {1, 7, 1023, 1024, 1025, 65539};
+  for (float momentum : {0.0f, 0.9f})
+    for (bool nesterov : {false, true})
+      for (float weight_decay : {0.0f, 1e-4f})
+        for (of::simd::Mode mode : {of::simd::Mode::Auto, of::simd::Mode::Off}) {
+          of::simd::configure(mode);
+          Rng rng(17);
+          std::vector<Parameter> params;
+          std::vector<Tensor> ref_w, ref_vel;
+          for (std::size_t n : sizes) {
+            params.emplace_back("p" + std::to_string(n), sprinkle_zeros(Tensor::randn({n}, rng)));
+            ref_w.push_back(params.back().value);
+            ref_vel.emplace_back(of::tensor::Shape{n});
+          }
+          std::vector<Parameter*> ptrs;
+          for (auto& p : params) ptrs.push_back(&p);
+          of::nn::SGD opt(ptrs, 0.05f, momentum, weight_decay, nesterov);
+          for (int step = 0; step < 3; ++step) {
+            std::vector<Tensor> grads;
+            for (auto& p : params) {
+              p.grad = sprinkle_zeros(Tensor::randn(p.value.shape(), rng));
+              grads.push_back(p.grad);
+            }
+            opt.step();
+            reference_sgd_step(ref_w, ref_vel, grads, 0.05f, momentum, weight_decay, nesterov);
+            for (std::size_t i = 0; i < params.size(); ++i) {
+              const std::string where = "n=" + std::to_string(sizes[i]) + " step " +
+                                        std::to_string(step) + " momentum=" +
+                                        std::to_string(momentum) + " nesterov=" +
+                                        std::to_string(nesterov) + " wd=" +
+                                        std::to_string(weight_decay) + " simd=" +
+                                        of::simd::active_level();
+              EXPECT_TRUE(bitwise_equal(params[i].value, ref_w[i])) << "w " << where;
+              EXPECT_TRUE(bitwise_equal(opt.momentum_buffers()[i], ref_vel[i]))
+                  << "velocity " << where;
+            }
+          }
+        }
 }
 
 TEST(Scheduler, MultiStepDecays) {

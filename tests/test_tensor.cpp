@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "exec/pool.hpp"
 
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
@@ -149,6 +152,29 @@ TEST(Tensor, TransposeInvolution) {
   EXPECT_TRUE(a.transpose2d().transpose2d().allclose(a));
   EXPECT_EQ(a.transpose2d().shape(), (Shape{7, 3}));
   EXPECT_FLOAT_EQ(a.transpose2d()(2, 1), a(1, 2));
+}
+
+// The tiled copy against the plain element loop, on shapes whose sides are
+// not multiples of the tile, one-row/one-column, and (at 4 threads) large
+// enough that the row chunks end mid-tile.
+TEST(Tensor, TransposeMatchesNaiveLoopOnRaggedShapes) {
+  const std::vector<Shape> shapes = {{1, 37}, {37, 1}, {17, 33}, {300, 257}, {1100, 517}};
+  for (std::size_t threads : {1, 4}) {
+    of::exec::Pool::global().configure(threads);
+    for (const Shape& shape : shapes) {
+      Rng rng(shape[0] * 1000 + shape[1]);
+      const Tensor a = Tensor::randn(shape, rng);
+      const std::size_t r = shape[0], c = shape[1];
+      Tensor expected({c, r});
+      for (std::size_t i = 0; i < r; ++i)
+        for (std::size_t j = 0; j < c; ++j) expected[j * r + i] = a[i * c + j];
+      const Tensor t = a.transpose2d();
+      ASSERT_EQ(t.shape(), expected.shape());
+      EXPECT_EQ(std::memcmp(t.data(), expected.data(), t.numel() * sizeof(float)), 0)
+          << r << "x" << c << " at threads=" << threads;
+    }
+  }
+  of::exec::Pool::global().configure(1);
 }
 
 TEST(Tensor, MatmulTransposeProperty) {
