@@ -33,7 +33,7 @@ void SGD::step() {
   // tmp += m·vel (Nesterov); w += (−lr)·step. Each call is one rounding of
   // the scalar update, in its order, and w + (−lr·s) == w − lr·s exactly,
   // so the bytes match the per-element loop. The wd axpy runs even at
-  // wd = 0: g + 0·w maps −0 to +0 and an infinite w to NaN.
+  // wd = 0: g + 0·w can map a −0 gradient to +0, and an infinite w to NaN.
   constexpr std::size_t kTile = 1024;
   float tmp[kTile];
   for (std::size_t i = 0; i < params_.size(); ++i) {
