@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "common/check.hpp"
@@ -93,8 +94,7 @@ std::vector<Bytes> gather_bytes(Communicator& c, const Bytes& b, int root) {
 }
 
 StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
-                                       const FrameSink& sink,
-                                       const PartialGatherOptions& opt) {
+                                       const FrameSink& sink, const GatherOptions& opt) {
   using clock = std::chrono::steady_clock;
   OF_CHECK_MSG(opt.min_clients >= 0 && opt.min_clients < c.world_size(),
                "partial gather quorum " << opt.min_clients << " out of range for world size "
@@ -109,20 +109,45 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
   std::set<int> pending;
   for (int p = 1; p < c.world_size(); ++p) pending.insert(p);
 
+  // Frames that arrived ahead of a lower pending rank, by rank. `next` is
+  // the lowest rank neither sunk nor cut: release() sinks every held frame
+  // from there up to the next pending rank.
+  std::vector<std::optional<Bytes>> held(static_cast<std::size_t>(c.world_size()));
+  std::size_t held_bytes = 0;
+  int next = 1;
+  const auto release = [&] {
+    for (; next < c.world_size() && pending.count(next) == 0; ++next) {
+      auto& slot = held[static_cast<std::size_t>(next)];
+      if (!slot) continue;  // cut
+      Bytes frame = std::move(*slot);
+      slot.reset();
+      held_bytes -= frame.size();
+      sink(next, std::move(frame));
+    }
+  };
+  const auto arrive = [&](int src, Bytes&& frame) {
+    if (pending.erase(src) == 0) return;  // duplicate or out-of-group frame
+    out.participated.push_back(src);
+    held_bytes += frame.size();
+    held[static_cast<std::size_t>(src)] = std::move(frame);
+    release();
+    out.peak_held_bytes = std::max(out.peak_held_bytes, held_bytes);
+  };
+  // Take every frame already queued, without waiting.
+  const auto drain = [&] {
+    while (!pending.empty()) {
+      auto queued = c.try_recv_bytes_any(tag, 0.0);
+      if (!queued) break;
+      arrive(queued->first, std::move(queued->second));
+    }
+  };
+
   // Drain frames that are already queued before judging liveness: on the
   // final round a fast client sends its update and exits, and its EOF can
   // reach the event loop before this gather starts — the update is sitting
   // in the inbox while peer_alive() already says dead. Data first, then the
   // verdict.
-  while (!pending.empty()) {
-    auto queued = c.try_recv_bytes_any(tag, 0.0);
-    if (!queued) break;
-    const int src = queued->first;
-    if (pending.count(src) == 0) continue;  // duplicate or out-of-group frame
-    sink(src, std::move(queued->second));
-    out.participated.push_back(src);
-    pending.erase(src);
-  }
+  drain();
 
   // Now a peer known dead with nothing queued cannot contribute this
   // round — don't let a crashed client consume the whole deadline.
@@ -138,6 +163,7 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
   OF_CHECK_MSG(static_cast<int>(reachable) >= opt.min_clients,
                "partial gather: only " << reachable << " of a required " << opt.min_clients
                                        << " clients are alive to report");
+  release();
 
   const auto start = clock::now();
   const auto deadline = start + std::chrono::duration_cast<clock::duration>(
@@ -150,6 +176,10 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
     const auto now = clock::now();
     const bool past_deadline = now >= deadline;
     if (past_deadline) {
+      // A slow sink can run past the deadline while later clients' frames
+      // queue up in time: take those before cutting anyone.
+      drain();
+      if (pending.empty()) break;
       out.deadline_hit = true;
       if (static_cast<int>(out.participated.size()) >= opt.min_clients) break;
       OF_CHECK_MSG(now < quorum_deadline,
@@ -161,42 +191,18 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
     const double wait =
         std::max(1e-3, std::chrono::duration<double>(limit - now).count());
     auto got = c.try_recv_bytes_any(tag, wait);
-    if (!got) continue;  // re-evaluate deadline / quorum state
-    const int src = got->first;
-    if (pending.count(src) == 0) continue;  // duplicate or out-of-group frame
-    sink(src, std::move(got->second));
-    out.participated.push_back(src);
-    pending.erase(src);
+    if (got) arrive(got->first, std::move(got->second));
   }
   out.dropped.insert(out.dropped.end(), pending.begin(), pending.end());
+  pending.clear();
+  release();  // the cut releases every frame still held, in rank order
   std::sort(out.participated.begin(), out.participated.end());
   std::sort(out.dropped.begin(), out.dropped.end());
   return out;
 }
 
-PartialGatherOptions wait_for_all(const Communicator& c) {
-  return PartialGatherOptions{c.world_size() - 1, 60.0, 60.0};
-}
-
-PartialGather gather_bytes_partial(Communicator& c, const Bytes& b,
-                                   const PartialGatherOptions& opt) {
-  // The materializing variant is the streaming one with a store-by-rank sink.
-  PartialGather out;
-  std::vector<Bytes>& frames = out.frames;
-  if (c.rank() == 0) {
-    frames.resize(static_cast<std::size_t>(c.world_size()));
-    frames[0] = b;
-  }
-  StreamingGather sg = gather_bytes_streaming(
-      c, b,
-      [&frames](int src, Bytes&& frame) {
-        frames[static_cast<std::size_t>(src)] = std::move(frame);
-      },
-      opt);
-  out.participated = std::move(sg.participated);
-  out.dropped = std::move(sg.dropped);
-  out.deadline_hit = sg.deadline_hit;
-  return out;
+GatherOptions wait_for_all(const Communicator& c) {
+  return GatherOptions{c.world_size() - 1, 60.0, 60.0};
 }
 
 void broadcast_bytes(Communicator& c, Bytes& b, int root) {

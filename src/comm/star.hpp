@@ -19,18 +19,20 @@ void barrier(Communicator& c);
 std::vector<Bytes> gather_bytes(Communicator& c, const Bytes& b, int root);
 void broadcast_bytes(Communicator& c, Bytes& b, int root);
 
-// --- deadline-based partial gather --------------------------------------------
+// --- rank-ordered deadline gather ----------------------------------------------
 //
-// The fault-tolerant variant of gather_bytes: the hub collects client frames
-// until either everyone reported or the round deadline passes. Past the
-// deadline it proceeds with whatever arrived, provided at least
-// `min_clients` made it; otherwise it keeps waiting (up to
-// `quorum_timeout_seconds` total) for a quorum. Stragglers past the cutoff
-// are recorded as dropped — the aggregation layer re-weights around them.
-// Peers the transport already knows are dead count against the quorum at
-// once: when too few clients remain to reach it, the hub fails immediately.
+// The fault-tolerant variant of gather_bytes, and the one gather every
+// lockstep star hub receives through: the hub collects client frames until
+// either everyone reported or the round deadline passes. Past the deadline
+// it first takes every frame already queued, then proceeds with whatever
+// arrived, provided at least `min_clients` made it; otherwise it keeps
+// waiting (up to `quorum_timeout_seconds` total) for a quorum. Stragglers
+// past the cutoff are recorded as dropped — the aggregation layer
+// re-weights around them. Peers the transport already knows are dead count
+// against the quorum at once: when too few clients remain to reach it, the
+// hub fails immediately.
 
-struct PartialGatherOptions {
+struct GatherOptions {
   int min_clients = 1;                  // quorum: proceed past deadline with >= this many
   double deadline_seconds = 5.0;        // soft per-round cutoff
   double quorum_timeout_seconds = 60.0; // hard cutoff waiting for the quorum itself
@@ -39,36 +41,26 @@ struct PartialGatherOptions {
 // The wait-for-all policy: every client must report. Its 60 s deadline and
 // quorum timeout match the backends' own receive timeout, so a silent client
 // fails the round the way a blocking gather would.
-PartialGatherOptions wait_for_all(const Communicator& c);
+GatherOptions wait_for_all(const Communicator& c);
 
-struct PartialGather {
-  // Indexed by rank; frames[0] is the hub's own contribution, a dropped
-  // client's slot stays empty.
-  std::vector<Bytes> frames;
-  std::vector<int> participated;  // client ranks that made the cutoff (sorted)
-  std::vector<int> dropped;       // client ranks excluded this round (sorted)
-  bool deadline_hit = false;      // true when at least one straggler was outwaited
-};
-
-// Collective: every rank calls it in the same order. Clients send and return
-// an empty result; the hub (rank 0) returns the populated PartialGather.
-PartialGather gather_bytes_partial(Communicator& c, const Bytes& b,
-                                   const PartialGatherOptions& opt);
-
-// Streaming variant — the combiner tier's primitive. Same deadline/quorum
-// protocol as gather_bytes_partial, but the hub never materializes the frame
-// set: each client frame is handed to `sink(src, frame)` the moment it
-// arrives (the hub's own contribution `b` is NOT sunk — the caller already
-// holds it). With a StreamingSum behind the sink, hub aggregation state is
-// O(model), not O(clients × model).
+// The hub hands each client frame to `sink(src, frame)` in ascending rank
+// order, whatever the arrival order: a frame that lands ahead of a lower
+// rank still pending is held until that rank arrives or is cut, and at the
+// cut the held frames are sunk in rank order. The hub's own contribution
+// `b` is NOT sunk (the caller already holds it); clients send `b` and may
+// pass an empty sink. With a StreamingSum behind the sink, the hub's
+// aggregation state is O(model) plus the frames held ahead of a missing
+// lower rank — never more than the whole frame set.
 struct StreamingGather {
   std::vector<int> participated;  // client ranks that made the cutoff (sorted)
   std::vector<int> dropped;       // client ranks excluded this round (sorted)
-  bool deadline_hit = false;
+  bool deadline_hit = false;      // true when at least one straggler was outwaited
+  std::size_t peak_held_bytes = 0;  // most frame bytes held for rank order at once
 };
 using FrameSink = std::function<void(int src, Bytes&& frame)>;
+// Collective: every rank calls it in the same order. Clients return an
+// empty result.
 StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
-                                       const FrameSink& sink,
-                                       const PartialGatherOptions& opt);
+                                       const FrameSink& sink, const GatherOptions& opt);
 
 }  // namespace of::comm::star

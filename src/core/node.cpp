@@ -64,30 +64,6 @@ std::optional<UpTrailer> take_up_frame(tensor::Bytes& frame, bool telemetry) {
   return strip_up_trailer(frame);
 }
 
-// Star round hubs accept Update frames only; any other frame is malformed
-// and drops its sender for the round.
-std::optional<UpMetrics> take_update(tensor::Bytes& frame, bool telemetry) {
-  const auto up = take_up_frame(frame, telemetry);
-  if (up && up->kind == UpKind::Update) return up->metrics;
-  malformed_dropped().inc();
-  return std::nullopt;
-}
-
-// Fold one up-frame body into a hub's StreamingSum. A body that does not
-// decode throws before the sum is written, so the sum is untouched: the
-// frame is counted as malformed and its sender dropped for the round, the
-// serve hub's rule. Returns whether the body was folded.
-template <typename Fold>
-bool fold_or_drop(Fold&& fold) {
-  try {
-    fold();
-    return true;
-  } catch (const std::exception&) {
-    malformed_dropped().inc();
-    return false;
-  }
-}
-
 // Hub-side metric totals, summed in source-rank order. The centralized and
 // serve hubs accumulate in double; the combiner tree sums in float, and a
 // leader forwards its group's float sum upward in its own trailer.
@@ -108,6 +84,96 @@ struct MetricSums {
             static_cast<float>(acc_n)};
   }
 };
+
+// The receive side of every lockstep star hub: the centralized hub and both
+// hierarchical tiers, fed in rank order by gather_bytes_streaming. It strips
+// each up-frame (telemetry tail, trailer, kind), folds the body into the
+// hub's StreamingSum — or keeps it when the rule needs every body at once
+// (robust rules, privacy) — and records the sender's metrics. Any frame but
+// an Update, or a body that does not fold (the sum is then untouched),
+// drops only its sender, counted in payload.malformed_dropped.
+struct HubSink {
+  StreamingSum sum;
+  bool fold, partials, telemetry;  // partials: bodies are combiner partials
+  std::vector<tensor::Bytes> kept;  // bodies in rank order, when not folded
+  std::vector<int> accepted;        // ranks folded or kept, ascending
+  std::vector<int> contributors;    // the accepted ranks that did not skip
+  std::vector<int> malformed;       // ranks dropped here
+  std::vector<UpMetrics> up;        // by rank; a dropped rank keeps zeros
+  double fold_seconds = 0.0;        // strip-and-fold time, for RoundHealth
+
+  HubSink(FramePool& pool, compression::Compressor* codec, bool fold, bool partials,
+          bool telemetry)
+      : sum(pool, codec), fold(fold), partials(partials), telemetry(telemetry) {}
+
+  // Start a round of a hub with `world` ranks.
+  void reset(int world) {
+    sum.reset();
+    kept.clear();
+    accepted.clear();
+    contributors.clear();
+    malformed.clear();
+    up.assign(static_cast<std::size_t>(world), UpMetrics{});
+    fold_seconds = 0.0;
+  }
+  // The hub's own contribution, as rank 0: a body without a trailer. A kept
+  // body is moved out of `body`.
+  void add_own(tensor::Bytes& body, const UpMetrics& m) {
+    const bool ok = accept(0, body, m);
+    OF_CHECK_MSG(ok, "the hub's own contribution does not fold");
+  }
+  void operator()(int src, tensor::Bytes&& frame) {
+    const auto t0 = Clock::now();
+    const auto trailer = take_up_frame(frame, telemetry);
+    if (!trailer || trailer->kind != UpKind::Update || !accept(src, frame, trailer->metrics)) {
+      malformed.push_back(src);
+      malformed_dropped().inc();
+    }
+    fold_seconds += seconds_since(t0);
+  }
+  template <typename T>
+  MetricSums<T> metric_sums() const {
+    MetricSums<T> s;
+    for (const auto& m : up) s.add(m);
+    return s;
+  }
+
+ private:
+  bool accept(int src, tensor::Bytes& body, const UpMetrics& m) {
+    if (fold) {
+      try {
+        partials ? sum.add_partial(body) : sum.add(body);
+      } catch (const std::exception&) {
+        return false;
+      }
+    }
+    up[static_cast<std::size_t>(src)] = m;
+    accepted.push_back(src);
+    if (!is_skip_update(body)) contributors.push_back(src);
+    if (!fold) kept.push_back(std::move(body));
+    return true;
+  }
+};
+
+// A hub's side of one lockstep gather into its sink. The wait is traced as
+// Recv and each frame's strip-and-fold as Aggregate, back to back, so the
+// trace phases never overlap.
+comm::star::StreamingGather gather_into(comm::Communicator& c, HubSink& sink,
+                                        const comm::star::GatherOptions& opt, int node,
+                                        std::size_t round) {
+  std::optional<ScopedSpan> recv(std::in_place, Name::Recv, node, round);
+  return comm::star::gather_bytes_streaming(
+      c, {},
+      [&](int src, tensor::Bytes&& frame) {
+        recv.reset();
+        {
+          ScopedSpan span(Name::Aggregate, node, round, frame.size());
+          sink(src, std::move(frame));
+        }
+        recv.emplace(Name::Recv, node, round);
+      },
+      opt);
+}
 
 // Detach the thread-local phase sink on every exit path out of run().
 struct PhaseSinkGuard {
@@ -196,7 +262,7 @@ NodeReport NodeRuntime::run() {
   return report;
 }
 
-comm::star::PartialGatherOptions NodeRuntime::round_gather_options(
+comm::star::GatherOptions NodeRuntime::round_gather_options(
     const comm::Communicator& inner) const {
   if (s_.fault.enabled)
     return {s_.fault.min_clients, s_.fault.round_deadline_seconds,
@@ -345,10 +411,11 @@ UpMetrics NodeRuntime::round_metrics(const algorithms::TrainStats& stats,
 //
 // Centralized rounds (fault mode or not) and hierarchical group members run
 // one trainer loop: receive the global model, train, evaluate, and report
-// update + metrics in a single up-frame through the deadline gather. The
-// centralized hub runs one aggregator loop; only the gather policy differs
-// — the fault spec's deadline and quorum in fault mode, wait-for-all
-// otherwise (round_gather_options).
+// update + metrics in a single up-frame through the rank-ordered gather.
+// The centralized hub, like both hierarchical tiers, folds those frames
+// through a HubSink as they arrive; only the gather policy differs — the
+// fault spec's deadline and quorum in fault mode, wait-for-all otherwise
+// (round_gather_options).
 
 NodeReport NodeRuntime::run_star_trainer(comm::Communicator& inner) {
   // A disabled spec never fires, so this is a no-op outside fault mode.
@@ -407,7 +474,7 @@ NodeReport NodeRuntime::run_star_trainer(comm::Communicator& inner) {
     append_telemetry(frame_buf_, inner, round);
     {
       ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
-      (void)comm::star::gather_bytes_partial(inner, frame_buf_, opt);
+      (void)comm::star::gather_bytes_streaming(inner, frame_buf_, {}, opt);
     }
   }
   return NodeReport{};
@@ -423,13 +490,12 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
   // The model frame is node-owned and keeps its capacity: each round
   // re-encodes into it without a fresh allocation (DESIGN.md §6).
   tensor::Bytes gbytes;
-  // The mean without privacy folds each body into one hub-owned sum as it
-  // is stripped; robust rules and privacy need every body at once and
-  // collect the frames instead.
-  const bool streaming =
-      s_.aggregation_rule == AggregationRule::Mean && s_.privacy == nullptr;
-  StreamingSum sum(pool_, s_.compressor.get());
-  if (streaming) sum.expect(s_.wire_repr, algo.payload_shapes(state.global));
+  // The mean without privacy folds each body as it arrives; robust rules
+  // and privacy need every body at once and keep them.
+  const bool mean = s_.aggregation_rule == AggregationRule::Mean;
+  HubSink sink(pool_, s_.compressor.get(), mean && s_.privacy == nullptr,
+               /*partials=*/false, telem_on_);
+  sink.sum.expect(s_.wire_repr, algo.payload_shapes(state.global));
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -443,71 +509,46 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
       ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
       inner.broadcast_bytes(gbytes, 0);
     }
-    ScopedSpan recv_span(Name::Recv, s_.node_id, round);
-    auto partial = comm::star::gather_bytes_partial(inner, {}, opt);
-    recv_span.end();
-    if (partial.deadline_hit) {
+    sink.reset(inner.world_size());
+    const auto g = gather_into(inner, sink, opt, s_.node_id, round);
+    if (g.deadline_hit) {
       obs::Registry::global().counter("fault.deadline_cuts").inc();
-      obs::instant(Name::DeadlineCut, s_.node_id, round, partial.dropped.size());
+      obs::instant(Name::DeadlineCut, s_.node_id, round, g.dropped.size());
       if (obs::FlightRecorder::global().armed_for_deadline_cut())
         obs::FlightRecorder::global().dump("deadline_cut");
     }
 
     const auto agg_t0 = Clock::now();
-    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round,
-                        partial.participated.size());
-    // Strip and fold each up-frame in place, in rank order, so the model
-    // and the metric totals accumulate in the same order for any arrival
-    // order and thread count. A malformed frame, or (streaming) a body that
-    // does not decode, drops its sender for the round; its metrics are not
-    // summed.
-    std::vector<tensor::Bytes> frames;
-    sum.reset();
-    MetricSums<double> sums;
+    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, sink.accepted.size());
     double weight_sum = 0.0;
-    std::size_t participated = 0;
-    int contributing = 0;
-    for (const int p : partial.participated) {
-      tensor::Bytes& f = partial.frames[static_cast<std::size_t>(p)];
-      const auto m = take_update(f, telem_on_);
-      if (!m || (streaming && !fold_or_drop([&] { sum.add(f); }))) {
-        partial.dropped.push_back(p);
-        continue;
-      }
-      sums.add(*m);
-      ++participated;
-      if (!is_skip_update(f)) {
-        ++contributing;
-        const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
-        if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
-      }
-      if (!streaming) frames.push_back(std::move(f));
+    for (const int p : sink.contributors) {
+      const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
+      if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
     }
-    std::sort(partial.dropped.begin(), partial.dropped.end());
-
+    const auto contributing = sink.contributors.size();
     if (contributing > 0) {
-      auto mean = streaming ? sum.finish_mean()
-                  : s_.aggregation_rule == AggregationRule::Mean
-                      ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
-                      : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
-                                       s_.aggregation_trim, &pool_);
+      auto update = sink.fold ? sink.sum.finish_mean()
+                    : mean ? mean_updates(sink.kept, s_.compressor.get(), s_.privacy.get(),
+                                          &pool_)
+                           : robust_combine(sink.kept, s_.compressor.get(),
+                                            s_.aggregation_rule, s_.aggregation_trim, &pool_);
       // Each update was pre-scaled by n_i·N/total; the uniform mean over the
       // k survivors therefore needs k / (N·Σ w_i) to become the exact
       // weighted mean over the surviving cohort (= 1 at full participation).
       // N is the client count: the hub's own cohort fields describe no cohort.
-      if (s_.aggregation_rule == AggregationRule::Mean && !s_.client_weights.empty() &&
-          weight_sum > 1e-12) {
+      if (mean && !s_.client_weights.empty() && weight_sum > 1e-12) {
         const double corr = static_cast<double>(contributing) /
                             (static_cast<double>(inner.world_size() - 1) * weight_sum);
         if (std::abs(corr - 1.0) > 1e-9)
-          for (auto& t : mean) t.scale_(static_cast<float>(corr));
+          for (auto& t : update) t.scale_(static_cast<float>(corr));
       }
       state.round = round;
-      state.global = algo.server_update(state, mean);
+      state.global = algo.server_update(state, update);
     }  // an empty round (quorum of skips) leaves the global model untouched
     agg_span.end();
-    const double aggregate_s = seconds_since(agg_t0);
+    const double aggregate_s = sink.fold_seconds + seconds_since(agg_t0);
 
+    const auto sums = sink.metric_sums<double>();
     RoundRecord rec;
     rec.round = round;
     rec.seconds = seconds_since(t0);
@@ -515,17 +556,20 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
     rec.accuracy = sums.accuracy();
     rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
     rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    rec.participated = participated;
-    rec.dropped_ranks = partial.dropped;
-    rec.deadline_hit = partial.deadline_hit;
+    rec.participated = sink.accepted.size();
+    rec.dropped_ranks = g.dropped;
+    rec.dropped_ranks.insert(rec.dropped_ranks.end(), sink.malformed.begin(),
+                             sink.malformed.end());
+    std::sort(rec.dropped_ranks.begin(), rec.dropped_ranks.end());
+    rec.deadline_hit = g.deadline_hit;
     rec.reconnects = inner.stats().reconnects;
     if (telem_on_) {
       obs::Fleet::RoundHealth h;
       h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(participated);
+      h.participated = static_cast<std::uint32_t>(rec.participated);
       h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      h.dropped = partial.dropped;
-      h.deadline_hit = partial.deadline_hit;
+      h.dropped = rec.dropped_ranks;
+      h.deadline_hit = g.deadline_hit;
       h.bytes_up = rec.bytes_up;
       h.bytes_down = rec.bytes_down;
       h.seconds = rec.seconds;
@@ -1005,40 +1049,28 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
   state.params = s_.algorithm_params;
   if (is_root) state.global = algo.initial_global(s_.model);
 
-  // Combiner tier (DESIGN.md §10): stream each arriving group update into a
-  // partial-sum frame and forward only `partial_scale × sum` plus its count
-  // upward, so aggregation state is O(model × combiners) instead of
-  // O(clients × model). Privacy frames only mean anything in aggregate with
-  // every masked body present, so those setups keep collect-then-mean and
-  // always wait for the whole group.
+  // Combiner tier (DESIGN.md §10): fold each group update into a partial
+  // sum as it arrives and forward only `partial_scale × sum` plus its count
+  // upward; the root folds the leaders' partials the same way. Privacy
+  // frames only mean anything in aggregate with every masked body present,
+  // so those setups keep collect-then-mean and always wait for the whole
+  // group.
   const bool streaming = s_.privacy == nullptr;
-  StreamingSum group_sum(pool_, s_.compressor.get());
-  StreamingSum root_sum(pool_, s_.outer_compressor.get());
+  HubSink group(pool_, s_.compressor.get(), streaming, /*partials=*/false, telem_on_);
+  HubSink leaders(pool_, s_.outer_compressor.get(), streaming, /*partials=*/true, telem_on_);
   if (streaming) {
     // Member updates and leader partials share the client payload's shapes.
     const auto shapes =
         algo.payload_shapes(is_root ? state.global : algo.initial_global(s_.model));
-    group_sum.expect(s_.wire_repr, shapes);
-    root_sum.expect(s_.wire_repr, shapes);
+    group.sum.expect(s_.wire_repr, shapes);
+    leaders.sum.expect(s_.wire_repr, shapes);
   }
-  comm::star::PartialGatherOptions group_opt = comm::star::wait_for_all(inner);
+  comm::star::GatherOptions group_opt = comm::star::wait_for_all(inner);
   if (streaming && s_.hier_deadline_seconds > 0) {
     group_opt.min_clients = std::min(s_.hier_min_clients, inner.world_size() - 1);
     group_opt.deadline_seconds = s_.hier_deadline_seconds;
   }
   const auto outer_opt = comm::star::wait_for_all(outer);  // combiners are never cut
-  // Per-source-rank metrics of this round's up-frames; a rank that was cut
-  // or sent a malformed frame or body keeps zeros, which leave the float
-  // sums as-is.
-  std::vector<UpMetrics> group_up(static_cast<std::size_t>(inner.world_size()));
-  std::vector<UpMetrics> outer_up(static_cast<std::size_t>(outer.world_size()));
-  std::vector<tensor::Bytes> frames;        // privacy path: group frames by rank
-  std::vector<tensor::Bytes> outer_frames;  // privacy path: leader frames by rank
-  const auto sum_metrics = [](const std::vector<UpMetrics>& per_rank) {
-    MetricSums<float> s;
-    for (const auto& m : per_rank) s.add(m);
-    return s;
-  };
 
   // Global payload frame: the root re-encodes into it each round, keeping
   // its capacity; the other leaders receive into it.
@@ -1065,36 +1097,17 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     if (s_.outer_compressor)
       s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer.rank()));
 
-    // Group tier: fold each trainer's up-frame the moment it arrives.
-    std::fill(group_up.begin(), group_up.end(), UpMetrics{});
-    group_sum.reset();
-    frames.assign(static_cast<std::size_t>(inner.world_size() - 1), {});
-    comm::star::StreamingGather sg;
-    std::uint32_t group_malformed = 0;  // arrived, but dropped for the round
-    {
-      ScopedSpan span(Name::Recv, s_.node_id, round);
-      sg = comm::star::gather_bytes_streaming(
-          inner, {},
-          [&](int src, tensor::Bytes&& frame) {
-            const auto m = take_update(frame, telem_on_);
-            if (!m || (streaming && !fold_or_drop([&] { group_sum.add(frame); }))) {
-              ++group_malformed;
-              return;
-            }
-            group_up[static_cast<std::size_t>(src)] = *m;
-            if (!streaming) frames[static_cast<std::size_t>(src - 1)] = std::move(frame);
-          },
-          group_opt);
-    }
+    group.reset(inner.world_size());
+    const auto sg = gather_into(inner, group, group_opt, s_.node_id, round);
     if (s_.obs_telemetry) {
       obs::Fleet::CombinerHealth ch;
       ch.group = s_.group;
       ch.round = static_cast<std::uint32_t>(round);
-      ch.participated = static_cast<std::uint32_t>(sg.participated.size()) - group_malformed;
+      ch.participated = static_cast<std::uint32_t>(group.accepted.size());
       ch.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      ch.dropped = static_cast<std::uint32_t>(sg.dropped.size()) + group_malformed;
+      ch.dropped = static_cast<std::uint32_t>(sg.dropped.size() + group.malformed.size());
       ch.deadline_hit = sg.deadline_hit;
-      ch.agg_peak_bytes = group_sum.peak_bytes();
+      ch.agg_peak_bytes = sg.peak_held_bytes + group.sum.peak_bytes();
       ch.seconds = seconds_since(t0);
       obs::Fleet::global().record_combiner(ch);
     }
@@ -1102,9 +1115,12 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     // Leader → root up-frame: the group's partial sum (privacy path: its
     // pre-aggregated mean), with the group's metric sum as the trailer.
     if (!streaming) {
-      ScopedSpan span(Name::Aggregate, s_.node_id, round, frames.size());
+      // Masked bodies only cancel with every member present.
+      OF_CHECK_MSG(group.malformed.empty(),
+                   "group " << s_.group << ": a malformed up-frame under privacy");
+      ScopedSpan span(Name::Aggregate, s_.node_id, round, group.kept.size());
       const auto group_mean =
-          mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_);
+          mean_updates(group.kept, s_.compressor.get(), s_.privacy.get(), &pool_);
       span.end();
       ScopedSpan enc_span(Name::Encode, s_.node_id, round);
       encode_update_into(group_mean, s_.weight_scale, outer_plugins, outer.rank(),
@@ -1112,62 +1128,43 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
       enc_span.set_arg(frame_buf_.size());
     } else {
       ScopedSpan span(Name::Encode, s_.node_id, round);
-      group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
+      group.sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
                                     frame_buf_, s_.wire_repr);
       span.set_arg(frame_buf_.size());
     }
-    const MetricSums<float> group_total = sum_metrics(group_up);
-    std::fill(outer_up.begin(), outer_up.end(), UpMetrics{});
-    outer_frames.assign(static_cast<std::size_t>(outer.world_size()), {});
-    if (is_root) {
-      // The root folds in its own group directly.
-      outer_up[0] = group_total.up();
-      if (streaming) {
-        root_sum.reset();
-        root_sum.add_partial(frame_buf_);
-      } else {
-        outer_frames[0] = frame_buf_;
-      }
-    } else {
-      append_up_trailer(frame_buf_, UpKind::Update, group_total.up());
+    const UpMetrics group_total = group.metric_sums<float>().up();
+    if (!is_root) {
+      // Cross-facility tier: this leader's up-frame to the root.
+      append_up_trailer(frame_buf_, UpKind::Update, group_total);
+      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
+      (void)comm::star::gather_bytes_streaming(outer, frame_buf_, {}, outer_opt);
+      continue;
     }
 
-    // Cross-facility tier: leader up-frames stream into the root the same way.
-    ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-    (void)comm::star::gather_bytes_streaming(
-        outer, frame_buf_,
-        [&](int src, tensor::Bytes&& frame) {
-          const auto m = take_update(frame, false);
-          if (!m || (streaming && !fold_or_drop([&] { root_sum.add_partial(frame); })))
-            return;
-          outer_up[static_cast<std::size_t>(src)] = *m;
-          if (!streaming) outer_frames[static_cast<std::size_t>(src)] = std::move(frame);
-        },
-        outer_opt);
-    outer_span.end();
-    if (is_root) {
-      // A round whose every member and leader partial was dropped leaves
-      // the global model untouched, as the centralized hub does.
-      if (!streaming || root_sum.count() > 0) {
-        ScopedSpan span(Name::Aggregate, s_.node_id, round,
-                        streaming ? root_sum.count() : outer_frames.size());
-        const auto mean =
-            streaming ? root_sum.finish_mean()
-                      : mean_updates(outer_frames, s_.outer_compressor.get(), nullptr,
-                                     &pool_);
-        state.round = round;
-        state.global = algo.server_update(state, mean);
-      }
-      const MetricSums<float> total = sum_metrics(outer_up);
-      RoundRecord rec;
-      rec.round = round;
-      rec.seconds = seconds_since(t0);
-      rec.train_loss = total.train_loss();
-      rec.accuracy = total.accuracy();
-      rec.bytes_up = inner.stats().bytes_received + outer.stats().bytes_received - recv_before;
-      rec.bytes_down = inner.stats().bytes_sent + outer.stats().bytes_sent - sent_before;
-      report.rounds.push_back(rec);
+    // The root folds its own group first, then every leader in rank order.
+    leaders.reset(outer.world_size());
+    leaders.add_own(frame_buf_, group_total);
+    (void)gather_into(outer, leaders, outer_opt, s_.node_id, round);
+    // A round whose every member and leader partial was dropped leaves the
+    // global model untouched, as the centralized hub does.
+    if (!streaming || leaders.sum.count() > 0) {
+      ScopedSpan span(Name::Aggregate, s_.node_id, round,
+                      streaming ? leaders.sum.count() : leaders.kept.size());
+      const auto mean = streaming ? leaders.sum.finish_mean()
+                                  : mean_updates(leaders.kept, s_.outer_compressor.get(),
+                                                 nullptr, &pool_);
+      state.round = round;
+      state.global = algo.server_update(state, mean);
     }
+    const MetricSums<float> total = leaders.metric_sums<float>();
+    RoundRecord rec;
+    rec.round = round;
+    rec.seconds = seconds_since(t0);
+    rec.train_loss = total.train_loss();
+    rec.accuracy = total.accuracy();
+    rec.bytes_up = inner.stats().bytes_received + outer.stats().bytes_received - recv_before;
+    rec.bytes_down = inner.stats().bytes_sent + outer.stats().bytes_sent - sent_before;
+    report.rounds.push_back(rec);
   }
   if (is_root) report.final_model = pack_tensors(state.global);
   return report;

@@ -154,12 +154,12 @@ class NodeRuntime {
   // The round loops, one per role:
   //  - star trainer: every centralized and hierarchical group member, fault
   //    mode or not. It reports update + metrics in one up-frame (payload.hpp)
-  //    through the deadline gather and replays any fault injections.
-  //  - star aggregator: the centralized hub. It aggregates whoever made the
-  //    round's gather (round_gather_options) and re-weights around the
-  //    clients that were cut or sent a malformed frame.
-  //  - hierarchical leader: a combiner that streams its group's up-frames
-  //    into a partial sum and reports upward in the same up-frame.
+  //    through the rank-ordered gather and replays any fault injections.
+  //  - star aggregator: the centralized hub. Its hub sink folds, in rank
+  //    order, whoever makes the round's gather (round_gather_options), and
+  //    it re-weights around the clients cut or dropped as malformed.
+  //  - hierarchical leader: a combiner that folds its group's up-frames the
+  //    same way and reports the partial sum upward in the same up-frame.
   //  - ring node, and the serving tier's aggregator and trainer.
   NodeReport run_star_trainer(comm::Communicator& inner);
   NodeReport run_star_aggregator(comm::Communicator& inner);
@@ -190,7 +190,7 @@ class NodeRuntime {
   UpMetrics round_metrics(const algorithms::TrainStats& stats, std::size_t round);
   // The centralized gather policy: the fault spec's deadline and quorum in
   // fault mode, otherwise wait for every client.
-  comm::star::PartialGatherOptions round_gather_options(
+  comm::star::GatherOptions round_gather_options(
       const comm::Communicator& inner) const;
   // Inject the configured compute slowdown for `train_seconds` of real work.
   void simulate_slowdown(double train_seconds_elapsed);

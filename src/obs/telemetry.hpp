@@ -102,8 +102,9 @@ class Fleet {
     std::uint32_t expected = 0;
     std::uint32_t dropped = 0;       // cut at the deadline or sent a malformed frame
     bool deadline_hit = false;
-    std::uint64_t agg_peak_bytes = 0;  // StreamingSum::peak_bytes()
-    double seconds = 0.0;              // group gather + partial encode
+    // Peak frame bytes the gather held for rank order + StreamingSum::peak_bytes().
+    std::uint64_t agg_peak_bytes = 0;
+    double seconds = 0.0;              // broadcast + group gather and fold
   };
 
   // The serving tier's view of the run (DESIGN.md §14): population and

@@ -198,11 +198,11 @@ TEST(CombinerTree, TcpTreeWithStragglersMatchesFlatStar) {
   const std::uint16_t kOuterPort = of::testutil::ephemeral_port();
   const int kStraggler = 1 * kTrainersPerGroup + 2;  // group 1, local rank 3
 
-  star::PartialGatherOptions group_opt;
+  star::GatherOptions group_opt;
   group_opt.min_clients = kTrainersPerGroup - 1;
   group_opt.deadline_seconds = 1.5;  // generous: the host may be 1 core
   group_opt.quorum_timeout_seconds = 10.0;
-  star::PartialGatherOptions outer_opt;  // combiners are never cut
+  star::GatherOptions outer_opt;  // combiners are never cut
   outer_opt.min_clients = kGroups - 1;
   outer_opt.deadline_seconds = 30.0;
   outer_opt.quorum_timeout_seconds = 30.0;

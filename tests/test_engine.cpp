@@ -185,12 +185,23 @@ TEST(Engine, RingRejectsStarCommunicator) {
 }
 
 TEST(Engine, DeterministicAcrossRuns) {
-  Engine a(base_config());
-  Engine b(base_config());
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
-  EXPECT_EQ(ra.rounds.back().train_loss, rb.rounds.back().train_loss);
+  // The centralized base, and a hierarchical run of 2 groups × 4 members:
+  // each combiner folds its members in rank order, whatever order their
+  // frames arrive in, so the final model is bitwise the same.
+  ConfigNode hier = base_config();
+  hier.set_path("topology._target_", ConfigNode::string("HierarchicalTopology"));
+  hier.set_path("topology.groups", ConfigNode::integer(2));
+  hier.set_path("topology.group_size", ConfigNode::integer(4));
+  hier.set_path("topology.outer_comm._target_", ConfigNode::string("TorchDistCommunicator"));
+  for (const ConfigNode& cfg : {base_config(), hier}) {
+    Engine a(cfg);
+    Engine b(cfg);
+    const RunResult ra = a.run();
+    const RunResult rb = b.run();
+    EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
+    EXPECT_EQ(ra.rounds.back().train_loss, rb.rounds.back().train_loss);
+    EXPECT_TRUE(ra.final_model_bytes == rb.final_model_bytes);
+  }
 }
 
 TEST(Engine, NonIidShardsPartitionRuns) {

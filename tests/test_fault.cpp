@@ -1,5 +1,5 @@
 // Fault-model tests: spec parsing/validation, deterministic injection,
-// deadline-based partial gather, the star aggregator's handling of cut and
+// the rank-ordered deadline gather, the star aggregator's handling of cut and
 // malformed clients, and end-to-end faulty Engine runs.
 #include <gtest/gtest.h>
 
@@ -196,11 +196,37 @@ void run_group(int world, const std::function<void(int, Communicator&)>& fn) {
   run_group(group, fn);
 }
 
-TEST(PartialGather, AllClientsArriveBeforeDeadline) {
+// The hub's view of a gather through a store-by-rank sink: frames[0] is its
+// own contribution, a dropped client's slot stays empty.
+struct StoredGather {
+  std::vector<Bytes> frames;
+  std::vector<int> participated;
+  std::vector<int> dropped;
+  bool deadline_hit = false;
+};
+
+StoredGather gather_stored(Communicator& c, const Bytes& b, const star::GatherOptions& opt) {
+  StoredGather out;
+  if (c.rank() == 0) {
+    out.frames.resize(static_cast<std::size_t>(c.world_size()));
+    out.frames[0] = b;
+  }
+  auto g = star::gather_bytes_streaming(
+      c, b,
+      [&](int src, Bytes&& frame) {
+        out.frames[static_cast<std::size_t>(src)] = std::move(frame);
+      },
+      opt);
+  out.participated = std::move(g.participated);
+  out.dropped = std::move(g.dropped);
+  out.deadline_hit = g.deadline_hit;
+  return out;
+}
+
+TEST(DeadlineGather, AllClientsArriveBeforeDeadline) {
   run_group(3, [](int rank, Communicator& c) {
-    star::PartialGatherOptions opt{2, 5.0, 10.0};
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    star::GatherOptions opt{2, 5.0, 10.0};
+    const auto out = gather_stored(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
       EXPECT_EQ(out.participated, (std::vector<int>{1, 2}));
       EXPECT_TRUE(out.dropped.empty());
@@ -214,12 +240,11 @@ TEST(PartialGather, AllClientsArriveBeforeDeadline) {
   });
 }
 
-TEST(PartialGather, StragglerPastDeadlineIsDropped) {
+TEST(DeadlineGather, StragglerPastDeadlineIsDropped) {
   run_group(3, [](int rank, Communicator& c) {
-    star::PartialGatherOptions opt{1, 0.15, 0.15};
+    star::GatherOptions opt{1, 0.15, 0.15};
     if (rank == 2) std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    const auto out = gather_stored(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
       EXPECT_EQ(out.participated, (std::vector<int>{1}));
       EXPECT_EQ(out.dropped, (std::vector<int>{2}));
@@ -228,12 +253,11 @@ TEST(PartialGather, StragglerPastDeadlineIsDropped) {
   });
 }
 
-TEST(PartialGather, QuorumOutwaitsTheDeadline) {
+TEST(DeadlineGather, QuorumOutwaitsTheDeadline) {
   run_group(3, [](int rank, Communicator& c) {
-    star::PartialGatherOptions opt{2, 0.05, 10.0};
+    star::GatherOptions opt{2, 0.05, 10.0};
     if (rank == 2) std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    const auto out = gather_stored(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
       // The deadline passed with one report, but quorum=2 keeps the hub
       // waiting until the straggler lands.
@@ -244,20 +268,19 @@ TEST(PartialGather, QuorumOutwaitsTheDeadline) {
   });
 }
 
-TEST(PartialGather, MissedQuorumTimesOutWithReadableError) {
+TEST(DeadlineGather, MissedQuorumTimesOutWithReadableError) {
   EXPECT_THROW(
       run_group(3,
                 [](int rank, Communicator& c) {
-                  star::PartialGatherOptions opt{2, 0.05, 0.25};
+                  star::GatherOptions opt{2, 0.05, 0.25};
                   if (rank == 2)
                     std::this_thread::sleep_for(std::chrono::seconds(1));
-                  (void)star::gather_bytes_partial(
-                      c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+                  (void)gather_stored(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
                 }),
       std::runtime_error);
 }
 
-TEST(PartialGather, DeadPeersFailTheQuorumAtOnce) {
+TEST(DeadlineGather, DeadPeersFailTheQuorumAtOnce) {
   // Both clients of a TCP hub have closed before the gather starts: the
   // liveness sweep drops them, and the quorum of 2 can no longer be met.
   // The hub must fail right away — not return an empty round as if the
@@ -276,16 +299,76 @@ TEST(PartialGather, DeadPeersFailTheQuorumAtOnce) {
   ASSERT_FALSE(server->peer_alive(1));
   ASSERT_FALSE(server->peer_alive(2));
 
-  const star::PartialGatherOptions opt{2, 30.0, 30.0};
+  const star::GatherOptions opt{2, 30.0, 30.0};
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    (void)star::gather_bytes_partial(*server, {}, opt);
+    (void)gather_stored(*server, {}, opt);
     FAIL() << "a quorum of 2 was accepted with both clients dead";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("partial gather"), std::string::npos);
   }
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
             5.0);
+}
+
+TEST(DeadlineGather, SinkSeesFramesInRankOrder) {
+  // Clients send in reverse rank order, 3 first; the hub holds 3 and 2
+  // until 1 lands and sinks 1, 2, 3.
+  std::vector<int> order;
+  run_group(4, [&](int rank, Communicator& c) {
+    if (rank > 0) std::this_thread::sleep_for(std::chrono::milliseconds(100 * (3 - rank)));
+    const auto g = star::gather_bytes_streaming(
+        c, Bytes{static_cast<std::uint8_t>(rank)},
+        [&](int src, Bytes&& frame) {
+          EXPECT_EQ(frame, Bytes{static_cast<std::uint8_t>(src)});
+          order.push_back(src);
+        },
+        star::wait_for_all(c));
+    if (rank == 0) {
+      EXPECT_EQ(g.participated, (std::vector<int>{1, 2, 3}));
+      EXPECT_GT(g.peak_held_bytes, 0u);  // 3 and 2 waited for 1
+    }
+  });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  // Rank 1 misses the deadline: the cut releases the held 2 and 3, in order.
+  order.clear();
+  run_group(4, [&](int rank, Communicator& c) {
+    if (rank == 1) std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    if (rank == 2) std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const auto g = star::gather_bytes_streaming(
+        c, Bytes{static_cast<std::uint8_t>(rank)},
+        [&](int src, Bytes&&) { order.push_back(src); }, star::GatherOptions{1, 0.3, 0.3});
+    if (rank == 0) {
+      EXPECT_EQ(g.dropped, (std::vector<int>{1}));
+      EXPECT_TRUE(g.deadline_hit);
+    }
+  });
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+TEST(DeadlineGather, SlowSinkDoesNotCutAFrameQueuedInTime) {
+  // The hub is already waiting when rank 1 lands, and the sink folds it
+  // for longer than the deadline. Rank 2 sent while it ran, well inside the
+  // deadline: its queued frame must participate, and with nobody left to
+  // cut the deadline was not hit.
+  run_group(3, [](int rank, Communicator& c) {
+    if (rank > 0) std::this_thread::sleep_for(std::chrono::milliseconds(rank == 1 ? 50 : 150));
+    std::vector<int> sunk;
+    const auto g = star::gather_bytes_streaming(
+        c, Bytes{static_cast<std::uint8_t>(rank)},
+        [&](int src, Bytes&&) {
+          if (src == 1) std::this_thread::sleep_for(std::chrono::milliseconds(500));
+          sunk.push_back(src);
+        },
+        star::GatherOptions{1, 0.25, 0.25});
+    if (rank == 0) {
+      EXPECT_EQ(g.participated, (std::vector<int>{1, 2}));
+      EXPECT_TRUE(g.dropped.empty());
+      EXPECT_FALSE(g.deadline_hit);
+      EXPECT_EQ(sunk, (std::vector<int>{1, 2}));
+    }
+  });
 }
 
 // --- the star aggregator against hand-driven clients -------------------------------
@@ -325,7 +408,7 @@ void drive_clients(InProcGroup& inner, of::core::NodeSetup& hub, std::size_t rou
       Bytes global;
       c.broadcast_bytes(global, 0);
       if (r == 1) out.globals.push_back(global);
-      (void)star::gather_bytes_partial(c, frame_for(r, round, global), opt);
+      (void)star::gather_bytes_streaming(c, frame_for(r, round, global), {}, opt);
     }
   });
 }
@@ -461,7 +544,7 @@ HubRun run_hier_root(int inner_world, int outer_world, std::size_t rounds,
         for (std::size_t round = 0; round < rounds; ++round) {
           Bytes global;
           c.broadcast_bytes(global, 0);
-          (void)star::gather_bytes_partial(c, leader_frame(r, round, global), opt);
+          (void)star::gather_bytes_streaming(c, leader_frame(r, round, global), {}, opt);
         }
       });
     } catch (...) {

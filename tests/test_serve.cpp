@@ -350,7 +350,7 @@ TEST(ZeroSurvivors, StreamingGatherPastDeadlineNeverCallsTheSink) {
   srv.join();
 
   const Bytes own = encode_update(delta(1.0f, 1.0f), 1.0, {}, 0, 2);
-  star::PartialGatherOptions opt;
+  star::GatherOptions opt;
   opt.min_clients = 0;  // proceed with whatever arrived — possibly nothing
   opt.deadline_seconds = 0.15;
   opt.quorum_timeout_seconds = 0.5;

@@ -135,11 +135,13 @@ TEST(SimdIdentity, AccumulateFromUnalignedBytes) {
     const auto src = random_floats(n, 44);
     const auto acc0 = random_floats(n, 55);
     std::vector<std::uint8_t> f32_bytes(n * 4 + 3, 0);
-    std::memcpy(f32_bytes.data() + 3, src.data(), n * 4);
     std::vector<std::uint16_t> halves(n);
     of::simd::f32_to_f16(halves.data(), src.data(), n);
     std::vector<std::uint8_t> f16_bytes(n * 2 + 1, 0);
-    std::memcpy(f16_bytes.data() + 1, halves.data(), n * 2);
+    if (n > 0) {  // an empty vector's data() may be null, and memcpy's source must not be
+      std::memcpy(f32_bytes.data() + 3, src.data(), n * 4);
+      std::memcpy(f16_bytes.data() + 1, halves.data(), n * 2);
+    }
     expect_both_tables_equal([&] {
       std::vector<float> acc = acc0;
       of::simd::accum_scaled_bytes(acc.data(), f32_bytes.data() + 3, 0.2, n);
