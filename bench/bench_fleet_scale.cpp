@@ -3,6 +3,9 @@
 // dies at this scale) and the combiner tier's O(model × combiners)
 // aggregation bound: the coordinator folds every arriving update into
 // StreamingSum partial accumulators instead of buffering clients × model.
+// It folds in arrival order rather than through star::gather_bytes_streaming,
+// so its agg-state row leaves out the frames a real combiner holds for rank
+// order (bench_combiner_memory measures those).
 //
 // Clients are raw-socket drivers forked into a handful of child processes
 // (the host caps fds per process, and 10k TcpCommunicator clients would

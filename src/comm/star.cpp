@@ -4,6 +4,7 @@
 #include <chrono>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -119,10 +120,8 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
     for (; next < c.world_size() && pending.count(next) == 0; ++next) {
       auto& slot = held[static_cast<std::size_t>(next)];
       if (!slot) continue;  // cut
-      Bytes frame = std::move(*slot);
-      slot.reset();
-      held_bytes -= frame.size();
-      sink(next, std::move(frame));
+      held_bytes -= slot->size();
+      sink(next, *std::exchange(slot, std::nullopt));
     }
   };
   const auto arrive = [&](int src, Bytes&& frame) {
@@ -176,8 +175,8 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
     const auto now = clock::now();
     const bool past_deadline = now >= deadline;
     if (past_deadline) {
-      // A slow sink can run past the deadline while later clients' frames
-      // queue up in time: take those before cutting anyone.
+      // A slow sink can run past the deadline while frames queue up: take
+      // every frame queued by now before cutting anyone.
       drain();
       if (pending.empty()) break;
       out.deadline_hit = true;

@@ -23,14 +23,15 @@ void broadcast_bytes(Communicator& c, Bytes& b, int root);
 //
 // The fault-tolerant variant of gather_bytes, and the one gather every
 // lockstep star hub receives through: the hub collects client frames until
-// either everyone reported or the round deadline passes. Past the deadline
-// it first takes every frame already queued, then proceeds with whatever
-// arrived, provided at least `min_clients` made it; otherwise it keeps
-// waiting (up to `quorum_timeout_seconds` total) for a quorum. Stragglers
+// everyone reported or the round deadline passes. Whenever it finds the
+// deadline passed (it checks after each sink call), it first takes every
+// frame queued by then, even one that landed while a slow sink ran, then
+// proceeds with whatever arrived if at least `min_clients` made it; else it
+// waits (up to `quorum_timeout_seconds` total) for a quorum. Stragglers
 // past the cutoff are recorded as dropped — the aggregation layer
 // re-weights around them. Peers the transport already knows are dead count
-// against the quorum at once: when too few clients remain to reach it, the
-// hub fails immediately.
+// against the quorum at once: when too few can still reach it, the hub
+// fails immediately.
 
 struct GatherOptions {
   int min_clients = 1;                  // quorum: proceed past deadline with >= this many
@@ -44,13 +45,12 @@ struct GatherOptions {
 GatherOptions wait_for_all(const Communicator& c);
 
 // The hub hands each client frame to `sink(src, frame)` in ascending rank
-// order, whatever the arrival order: a frame that lands ahead of a lower
-// rank still pending is held until that rank arrives or is cut, and at the
-// cut the held frames are sunk in rank order. The hub's own contribution
-// `b` is NOT sunk (the caller already holds it); clients send `b` and may
-// pass an empty sink. With a StreamingSum behind the sink, the hub's
-// aggregation state is O(model) plus the frames held ahead of a missing
-// lower rank — never more than the whole frame set.
+// order: a frame that lands ahead of a pending lower rank is held until
+// that rank arrives or is cut, then sunk in order. The hub's own `b` is
+// NOT sunk; clients send `b` and may pass an empty sink. With a
+// StreamingSum behind the sink, the hub holds O(model) plus the held
+// frames: at most all but one, about half the group when members finish
+// in random order (bench_combiner_memory).
 struct StreamingGather {
   std::vector<int> participated;  // client ranks that made the cutoff (sorted)
   std::vector<int> dropped;       // client ranks excluded this round (sorted)

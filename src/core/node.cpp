@@ -119,8 +119,7 @@ struct HubSink {
   // The hub's own contribution, as rank 0: a body without a trailer. A kept
   // body is moved out of `body`.
   void add_own(tensor::Bytes& body, const UpMetrics& m) {
-    const bool ok = accept(0, body, m);
-    OF_CHECK_MSG(ok, "the hub's own contribution does not fold");
+    OF_CHECK_MSG(accept(0, body, m), "the hub's own contribution does not fold");
   }
   void operator()(int src, tensor::Bytes&& frame) {
     const auto t0 = Clock::now();
@@ -130,6 +129,12 @@ struct HubSink {
       malformed_dropped().inc();
     }
     fold_seconds += seconds_since(t0);
+  }
+  // A sender dropped under a mechanism that cannot sum a subset fails the round.
+  void check_cohort(const privacy::PrivacyMechanism* p) const {
+    OF_CHECK_MSG(p == nullptr || p->sums_any_subset() || malformed.empty(),
+                 p->name() << " needs every sender's body, but rank " << malformed.front()
+                           << " sent a malformed up-frame");
   }
   template <typename T>
   MetricSums<T> metric_sums() const {
@@ -155,24 +160,18 @@ struct HubSink {
   }
 };
 
-// A hub's side of one lockstep gather into its sink. The wait is traced as
-// Recv and each frame's strip-and-fold as Aggregate, back to back, so the
-// trace phases never overlap.
+// A hub's side of one lockstep gather into its sink, traced as one Recv
+// span. The folds inside it follow as one Aggregate instant whose arg is
+// their total time in µs, so the trace phases never overlap.
 comm::star::StreamingGather gather_into(comm::Communicator& c, HubSink& sink,
                                         const comm::star::GatherOptions& opt, int node,
                                         std::size_t round) {
-  std::optional<ScopedSpan> recv(std::in_place, Name::Recv, node, round);
-  return comm::star::gather_bytes_streaming(
-      c, {},
-      [&](int src, tensor::Bytes&& frame) {
-        recv.reset();
-        {
-          ScopedSpan span(Name::Aggregate, node, round, frame.size());
-          sink(src, std::move(frame));
-        }
-        recv.emplace(Name::Recv, node, round);
-      },
-      opt);
+  ScopedSpan recv(Name::Recv, node, round);
+  auto g = comm::star::gather_bytes_streaming(c, {}, std::ref(sink), opt);
+  recv.end();
+  obs::instant(Name::Aggregate, node, round,
+               static_cast<std::uint64_t>(sink.fold_seconds * 1e6));
+  return g;
 }
 
 // Detach the thread-local phase sink on every exit path out of run().
@@ -518,6 +517,7 @@ NodeReport NodeRuntime::run_star_aggregator(comm::Communicator& inner) {
         obs::FlightRecorder::global().dump("deadline_cut");
     }
 
+    sink.check_cohort(s_.privacy.get());
     const auto agg_t0 = Clock::now();
     ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, sink.accepted.size());
     double weight_sum = 0.0;
@@ -1115,9 +1115,7 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     // Leader → root up-frame: the group's partial sum (privacy path: its
     // pre-aggregated mean), with the group's metric sum as the trailer.
     if (!streaming) {
-      // Masked bodies only cancel with every member present.
-      OF_CHECK_MSG(group.malformed.empty(),
-                   "group " << s_.group << ": a malformed up-frame under privacy");
+      group.check_cohort(s_.privacy.get());
       ScopedSpan span(Name::Aggregate, s_.node_id, round, group.kept.size());
       const auto group_mean =
           mean_updates(group.kept, s_.compressor.get(), s_.privacy.get(), &pool_);

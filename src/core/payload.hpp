@@ -132,11 +132,12 @@ struct PartialHeader {
 // Streaming partial-sum accumulator — the one plain/compressed mean path
 // (DESIGN.md §6, §10): the centralized hub, the combiner tier, the serve
 // buffer and mean_updates all fold through it. Frames are folded into one
-// pooled flat accumulator as they arrive, so a combiner holds O(model)
-// bytes no matter how many clients feed it; only the partial sum (plus its
-// contribution count) is forwarded upward. A frame that throws (bad
-// structure, a mode other than the first frame's, an undecodable body)
-// leaves the sum untouched, so a hub can drop its sender and keep going.
+// pooled flat accumulator: the sum is O(model) however many clients feed it
+// (a lockstep hub also holds frames waiting for rank order, star.hpp); only
+// the partial sum (plus its contribution count) is forwarded upward. A
+// frame that throws (bad structure, a mode other than the first frame's,
+// an undecodable body) leaves the sum untouched, so a hub can drop its
+// sender and keep going.
 // Privacy frames are rejected: secure aggregation needs every masked body
 // at once, so setups with privacy fall back to collect-then-mean.
 class StreamingSum {

@@ -102,8 +102,7 @@ class Fleet {
     std::uint32_t expected = 0;
     std::uint32_t dropped = 0;       // cut at the deadline or sent a malformed frame
     bool deadline_hit = false;
-    // Peak frame bytes the gather held for rank order + StreamingSum::peak_bytes().
-    std::uint64_t agg_peak_bytes = 0;
+    std::uint64_t agg_peak_bytes = 0;  // held for rank order + StreamingSum peak
     double seconds = 0.0;              // broadcast + group gather and fold
   };
 

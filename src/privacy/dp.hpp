@@ -47,6 +47,7 @@ class DifferentialPrivacy final : public PrivacyMechanism {
   using PrivacyMechanism::protect;
   using PrivacyMechanism::aggregate_sum;
   std::string name() const override { return "DifferentialPrivacy"; }
+  bool sums_any_subset() const override { return true; }
 
   const DpParams& params() const noexcept { return params_; }
   double sigma() const noexcept { return sigma_; }

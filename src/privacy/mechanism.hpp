@@ -44,6 +44,9 @@ class PrivacyMechanism {
   virtual void aggregate_sum(const std::vector<ConstByteSpan>& contributions,
                              FloatSpan out) = 0;
   virtual std::string name() const = 0;
+  // True when aggregate_sum over any subset of the cohort is that subset's
+  // sum (NoPrivacy, DP); SA's masks cancel only in the full cohort's sum.
+  virtual bool sums_any_subset() const { return false; }
 
   // Owning conveniences for tests and cold paths.
   Bytes protect(const Tensor& update, int client_id, int num_clients) {
@@ -72,6 +75,7 @@ class NoPrivacy final : public PrivacyMechanism {
   using PrivacyMechanism::protect;
   using PrivacyMechanism::aggregate_sum;
   std::string name() const override { return "NoPrivacy"; }
+  bool sums_any_subset() const override { return true; }
 };
 
 // Param structs are reflected (src/refl/), so unknown/typo'd keys fail with

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "algorithms/algorithm.hpp"
@@ -19,6 +21,8 @@
 #include "fault/fault.hpp"
 #include "nn/zoo.hpp"
 #include "obs/registry.hpp"
+#include "privacy/dp.hpp"
+#include "privacy/secure_agg.hpp"
 
 namespace {
 
@@ -413,9 +417,11 @@ void drive_clients(InProcGroup& inner, of::core::NodeSetup& hub, std::size_t rou
   });
 }
 
-HubRun run_star_hub(int world, std::size_t rounds, const FrameFn& frame_for) {
+HubRun run_star_hub(int world, std::size_t rounds, const FrameFn& frame_for,
+                    std::unique_ptr<of::privacy::PrivacyMechanism> privacy = nullptr) {
   InProcGroup group(world);
   of::core::NodeSetup s = hub_setup("centralized", rounds, world - 1);
+  s.privacy = std::move(privacy);
   s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
   s.inner_spec.group = &group;
   s.inner_spec.world = world;
@@ -524,10 +530,12 @@ TEST(StarAggregator, MalformedUpFrameDropsOnlyItsSender) {
 // and hand-driven leaders on `outer_world` (1 = the root alone). Leader r
 // sends leader_frame(r, round, global) up the outer tier.
 HubRun run_hier_root(int inner_world, int outer_world, std::size_t rounds,
-                     const FrameFn& member_frame, const FrameFn& leader_frame) {
+                     const FrameFn& member_frame, const FrameFn& leader_frame,
+                     std::unique_ptr<of::privacy::PrivacyMechanism> privacy = nullptr) {
   InProcGroup inner(inner_world);
   InProcGroup outer(outer_world);
   of::core::NodeSetup s = hub_setup("hierarchical", rounds, inner_world - 1);
+  s.privacy = std::move(privacy);
   s.inner_spec.backend = of::core::CommSpec::Backend::InProc;
   s.inner_spec.group = &inner;
   s.inner_spec.world = inner_world;
@@ -606,17 +614,15 @@ TEST(HierLeader, GarbageBodyDropsOnlyItsSenderInEitherTier) {
         << "group tier " << group_tier;
   }
 
-  // The group tier folds in arrival order. A well-formed f16 frame from
-  // member 3, sent while members 1 and 2 hold theirs back, must not fix
-  // the mode the others are checked against: member 3 alone is dropped.
+  // The group tier folds in rank order, so member 1's frame is folded
+  // first. A well-formed f16 frame from it must not fix the mode the others
+  // are checked against: member 1 alone is dropped, and members 2 and 3,
+  // sending what members 1 and 2 send in the clean run, rebuild its models.
   const FrameFn f16_first = [&](int r, std::size_t round, const Bytes& global) {
-    if (r != 3) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return member_frame(r, round, global);
-    }
-    Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 1.5, {}, 2, 3,
+    if (r != 1) return member_frame(r - 1, round, global);
+    Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 0.5, {}, 0, 3,
                                           of::core::WireRepr::F16);
-    of::core::append_up_trailer(frame, of::core::UpKind::Update, {6.0f, 1.0f});
+    of::core::append_up_trailer(frame, of::core::UpKind::Update, {2.0f, 1.0f});
     return frame;
   };
   const auto malformed0 = malformed.value();
@@ -643,6 +649,57 @@ TEST(HierLeader, GarbageBodyDropsOnlyItsSenderInEitherTier) {
   EXPECT_TRUE(empty_round.globals[0] == clean.globals[0]);
   EXPECT_TRUE(empty_round.globals[1] == clean.globals[1]);
   EXPECT_TRUE(empty_round.globals[2] == empty_round.globals[1]);
+}
+
+TEST(PrivateHub, MalformedSenderFailsTheRoundOnlyUnderFixedCohortMechanisms) {
+  // Client 3 of 3 sends a well-formed Join frame, which the centralized hub
+  // and the hierarchical group tier both drop. DP sums any subset of the
+  // cohort, so the round goes on without client 3; SA's masks cancel only
+  // in the full cohort's sum, so both hubs fail the round instead of
+  // writing a garbage model.
+  using Mechanism = std::unique_ptr<of::privacy::PrivacyMechanism>;
+  const auto make = [](bool sa, int seed) -> Mechanism {
+    if (sa) return std::make_unique<of::privacy::SecureAggregation>("key", 3);
+    return std::make_unique<of::privacy::DifferentialPrivacy>(
+        of::privacy::DpParams{}, static_cast<std::uint64_t>(seed));
+  };
+  const auto frame_for = [&](bool sa) -> FrameFn {
+    return [&make, sa](int r, std::size_t, const Bytes& global) {
+      const Mechanism mech = make(sa, r);
+      Bytes frame = of::core::encode_update(of::core::unpack_tensors(global), 0.5 * r,
+                                            {nullptr, mech.get()}, r - 1, 3);
+      of::core::append_up_trailer(
+          frame, r == 3 ? of::core::UpKind::Join : of::core::UpKind::Update,
+          {2.0f * static_cast<float>(r), 1.0f});
+      return frame;
+    };
+  };
+  const FrameFn no_leaders = [](int, std::size_t, const Bytes&) { return Bytes{}; };
+  const auto run = [&](bool sa, bool hier) {
+    return hier ? run_hier_root(4, 1, 1, frame_for(sa), no_leaders, make(sa, 0))
+                : run_star_hub(4, 1, frame_for(sa), make(sa, 0));
+  };
+
+  for (const bool hier : {false, true}) {
+    const HubRun dp = run(false, hier);
+    ASSERT_EQ(dp.report.rounds.size(), 1u) << "hierarchical " << hier;
+    EXPECT_DOUBLE_EQ(dp.report.rounds[0].train_loss, 3.0) << "hierarchical " << hier;
+    if (!hier) {
+      EXPECT_EQ(dp.report.rounds[0].participated, 2u);
+      EXPECT_EQ(dp.report.rounds[0].dropped_ranks, (std::vector<int>{3}));
+    }
+    for (const auto& t : of::core::unpack_tensors(dp.report.final_model))
+      for (const float v : t.span()) ASSERT_TRUE(std::isfinite(v));
+
+    try {
+      (void)run(true, hier);
+      ADD_FAILURE() << "SA hub aggregated without rank 3, hierarchical " << hier;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("SecureAggregation needs every sender's body"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- faulty Engine runs ----------------------------------------------------------------
